@@ -185,26 +185,4 @@ def resolve_derivatives(expr: Expr) -> Expr:
                 return Derivative(operand, expr.var, expr.order)
             current = d
         return current
-    if isinstance(expr, Add):
-        return ir.add(*(resolve_derivatives(t) for t in expr.terms))
-    if isinstance(expr, Mul):
-        return ir.mul(*(resolve_derivatives(f) for f in expr.factors))
-    if isinstance(expr, Pow):
-        return ir.power(resolve_derivatives(expr.base), resolve_derivatives(expr.exponent))
-    if isinstance(expr, Neg):
-        return ir.neg(resolve_derivatives(expr.operand))
-    if isinstance(expr, FunctionApp):
-        return FunctionApp(
-            expr.func,
-            tuple(resolve_derivatives(p) for p in expr.params),
-            tuple(resolve_derivatives(a) for a in expr.args),
-        )
-    if isinstance(expr, BigOp):
-        return BigOp(
-            expr.kind,
-            expr.var,
-            resolve_derivatives(expr.lo) if expr.lo is not None else None,
-            resolve_derivatives(expr.hi) if expr.hi is not None else None,
-            resolve_derivatives(expr.body),
-        )
-    return expr
+    return ir.map_children(expr, resolve_derivatives)

@@ -45,20 +45,23 @@ def _common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--timeout", type=float, help="per-formula timeout in seconds")
 
 
+# Command-line flag -> the PipelineOptions field it overrides when given.
+_FLAG_FIELDS = {
+    "blueprints": "blueprints",
+    "macro_table": "macro_table",
+    "translation_table": "translation_table",
+    "rewrite_rules": "rewrite_rules",
+    "jobs": "jobs",
+    "timeout": "timeout_seconds",
+}
+
+
 def _options_from(args: argparse.Namespace) -> PipelineOptions:
     options = load_config(args.config) if args.config else PipelineOptions()
-    if getattr(args, "blueprints", None):
-        options.blueprints = args.blueprints
-    if getattr(args, "macro_table", None):
-        options.macro_table = args.macro_table
-    if getattr(args, "translation_table", None):
-        options.translation_table = args.translation_table
-    if getattr(args, "rewrite_rules", None):
-        options.rewrite_rules = args.rewrite_rules
-    if getattr(args, "jobs", None):
-        options.jobs = args.jobs
-    if getattr(args, "timeout", None):
-        options.timeout_seconds = args.timeout
+    for flag, field_name in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value:
+            setattr(options, field_name, value)
     return options
 
 

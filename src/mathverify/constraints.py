@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -159,12 +158,6 @@ def parse_blueprint_rules(
             ConstraintBlueprint(tree, flat, tuple(placeholders), values, line)
         )
     return blueprints
-
-
-def load_blueprints_file(
-    path: Union[str, Path], table: Optional[MacroTable] = None
-) -> list[ConstraintBlueprint]:
-    return parse_blueprint_rules(Path(path).read_text(encoding="utf-8"), table)
 
 
 def match_constraint(

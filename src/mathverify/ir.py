@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 
 class Expr:
@@ -298,31 +298,45 @@ def _collect_free(expr: Expr, bound: frozenset[str], out: set[str]) -> None:
         _collect_free(c, bound, out)
 
 
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``expr`` from ``fn`` applied to each direct child.
+
+    Sums, products, powers and negations go through the smart
+    constructors, so the result keeps their invariants; absent BigOp
+    bounds stay absent and leaves come back unchanged."""
+    if isinstance(expr, (Number, Const, Var)):
+        return expr
+    if isinstance(expr, Add):
+        return add(*map(fn, expr.terms))
+    if isinstance(expr, Mul):
+        return mul(*map(fn, expr.factors))
+    if isinstance(expr, Pow):
+        return power(fn(expr.base), fn(expr.exponent))
+    if isinstance(expr, Neg):
+        return neg(fn(expr.operand))
+    if isinstance(expr, FunctionApp):
+        return FunctionApp(expr.func, tuple(map(fn, expr.params)), tuple(map(fn, expr.args)))
+    if isinstance(expr, Derivative):
+        return Derivative(fn(expr.operand), expr.var, expr.order)
+    if isinstance(expr, BigOp):
+        return BigOp(
+            expr.kind,
+            expr.var,
+            fn(expr.lo) if expr.lo is not None else None,
+            fn(expr.hi) if expr.hi is not None else None,
+            fn(expr.body),
+        )
+    raise TypeError(f"not an Expr: {expr!r}")
+
+
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
     """Capture-avoiding substitution of free variables."""
     if not mapping:
         return expr
     if isinstance(expr, Var):
         return mapping.get(expr.name, expr)
-    if isinstance(expr, (Number, Const)):
-        return expr
-    if isinstance(expr, Add):
-        return add(*(substitute(t, mapping) for t in expr.terms))
-    if isinstance(expr, Mul):
-        return mul(*(substitute(f, mapping) for f in expr.factors))
-    if isinstance(expr, Pow):
-        return power(substitute(expr.base, mapping), substitute(expr.exponent, mapping))
-    if isinstance(expr, Neg):
-        return neg(substitute(expr.operand, mapping))
-    if isinstance(expr, FunctionApp):
-        return FunctionApp(
-            expr.func,
-            tuple(substitute(p, mapping) for p in expr.params),
-            tuple(substitute(a, mapping) for a in expr.args),
-        )
-    if isinstance(expr, Derivative):
-        return Derivative(substitute(expr.operand, mapping), expr.var, expr.order)
     if isinstance(expr, BigOp):
+        # Bounds see the whole mapping; the body never sees its own binder.
         inner = {k: v for k, v in mapping.items() if k != expr.var}
         return BigOp(
             expr.kind,
@@ -331,7 +345,7 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
             substitute(expr.hi, mapping) if expr.hi is not None else None,
             substitute(expr.body, inner),
         )
-    raise TypeError(f"not an Expr: {expr!r}")
+    return map_children(expr, lambda child: substitute(child, mapping))
 
 
 def sort_key(expr: Expr) -> tuple:

@@ -76,12 +76,6 @@ class RatForm:
     num: tuple[tuple[Mono, Fraction], ...]
     den: tuple[tuple[Mono, Fraction], ...]
 
-    def num_poly(self) -> Poly:
-        return dict(self.num)
-
-    def den_poly(self) -> Poly:
-        return dict(self.den)
-
 
 def _freeze(num: Poly, den: Poly) -> RatForm:
     return RatForm(
@@ -125,12 +119,6 @@ def _exp_negate(exp: ExpKey, ctx: NormContext) -> ExpKey:
     if isinstance(exp, Fraction):
         return -exp
     return _as_exp_key(emit(norm(ir.neg_term(exp), ctx)))
-
-
-def _exp_scale(exp: ExpKey, factor: Fraction, ctx: NormContext) -> ExpKey:
-    if isinstance(exp, Fraction):
-        return exp * factor
-    return _as_exp_key(emit(norm(ir.mul(Number(factor), exp), ctx)))
 
 
 def _as_exp_key(expr: Expr) -> ExpKey:
@@ -373,15 +361,6 @@ def _norm(expr: Expr, ctx: NormContext) -> _Rat:
     if isinstance(expr, BigOp):
         return _norm_bigop(expr, ctx)
     raise SymbolicError(f"cannot normalize {expr!r}")
-
-
-def _single_unit_mono(rat: _Rat) -> Optional[Mono]:
-    """The monomial when the form is exactly one monomial over 1."""
-    if rat.den == ONE_POLY and len(rat.num) == 1:
-        (mono, coef), = rat.num.items()
-        if coef == 1:
-            return mono
-    return None
 
 
 def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import (
     ArityMismatch,
@@ -256,10 +255,6 @@ def load_macro_table(source: str) -> MacroTable:
     return MacroTable(defs)
 
 
-def load_macro_table_file(path: Union[str, Path]) -> MacroTable:
-    return load_macro_table(Path(path).read_text(encoding="utf-8"))
-
-
 # --- parse tree ---
 
 class NodeKind(Enum):
@@ -440,10 +435,6 @@ def parse(tokens: list[Token], table: MacroTable) -> ParseNode:
     p = _Parser(tokens, table)
     items = p.parse_sequence(in_group=False)
     return row_or_single(items) if items else ParseNode(NodeKind.ROW)
-
-
-def parse_text(text: str, table: MacroTable, *, placeholders: bool = False) -> ParseNode:
-    return parse(tokenize(text, placeholders=placeholders), table)
 
 
 # --- flattening and rendering ---

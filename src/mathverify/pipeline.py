@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import ir
 from .chapters import CHAPTERS
@@ -93,33 +93,27 @@ class PipelineOptions:
         )
 
 
+def _table_text(path: Optional[str], default: str) -> str:
+    """The table file at ``path`` if one is set, else the bundled one."""
+    return Path(path).read_text(encoding="utf-8") if path else data_text(default)
+
+
 class Tables:
     """Loaded macro/translation/blueprint/rule tables."""
 
     def __init__(self, options: PipelineOptions):
-        if options.macro_table:
-            macro_text = Path(options.macro_table).read_text(encoding="utf-8")
-        else:
-            macro_text = data_text("macros.table")
-        self.macro_table: MacroTable = load_macro_table(macro_text)
-        if options.translation_table:
-            tr_text = Path(options.translation_table).read_text(encoding="utf-8")
-        else:
-            tr_text = data_text("translation.table")
-        self.translation_table: TranslationTable = load_translation_table(tr_text)
-        if options.blueprints:
-            bp_text = Path(options.blueprints).read_text(encoding="utf-8")
-        else:
-            bp_text = data_text("blueprints.rules")
-        self.blueprints: list[ConstraintBlueprint] = parse_blueprint_rules(
-            bp_text, self.macro_table
+        self.macro_table: MacroTable = load_macro_table(
+            _table_text(options.macro_table, "macros.table")
         )
-        if options.rewrite_rules:
-            rw_text = Path(options.rewrite_rules).read_text(encoding="utf-8")
-        else:
-            rw_text = data_text("rewrite.rules")
+        self.translation_table: TranslationTable = load_translation_table(
+            _table_text(options.translation_table, "translation.table")
+        )
+        self.blueprints: list[ConstraintBlueprint] = parse_blueprint_rules(
+            _table_text(options.blueprints, "blueprints.rules"), self.macro_table
+        )
         self.rewrite_rules: tuple[RewriteRule, ...] = load_rewrite_rules(
-            rw_text, self.macro_table, self.translation_table
+            _table_text(options.rewrite_rules, "rewrite.rules"),
+            self.macro_table, self.translation_table,
         )
 
 
@@ -433,11 +427,31 @@ def _render_text(report: PipelineReport) -> bytes:
 
 # --- config file ---
 
-_CONFIG_KEYS = {
-    "mode", "preprocessors", "rewrite_step_budget", "test_values", "threshold",
-    "precision", "timeout_seconds", "comparison_mode", "jobs",
-    "macro_table", "translation_table", "blueprints", "rewrite_rules",
-}
+def _config_keys(base: Path) -> dict[str, tuple[str, Callable[[str], object]]]:
+    """Config-file key -> (PipelineOptions field, value parser); path
+    values resolve relative to ``base``, the config file's directory."""
+
+    def path(value: str) -> str:
+        return value if Path(value).is_absolute() else str((base / value).resolve())
+
+    def items(value: str) -> list[str]:
+        return [v.strip() for v in value.split(",")]
+
+    return {
+        "mode": ("mode", str),
+        "preprocessors": ("preprocessors", lambda v: tuple(p for p in items(v) if p)),
+        "rewrite_step_budget": ("rewrite_step_budget", int),
+        "test_values": ("test_values", lambda v: tuple(map(Fraction, items(v)))),
+        "threshold": ("threshold", float),
+        "precision": ("precision_digits", int),
+        "timeout_seconds": ("timeout_seconds", float),
+        "comparison_mode": ("comparison_mode", str),
+        "jobs": ("jobs", int),
+        "macro_table": ("macro_table", path),
+        "translation_table": ("translation_table", path),
+        "blueprints": ("blueprints", path),
+        "rewrite_rules": ("rewrite_rules", path),
+    }
 
 
 def load_config(path: Union[str, Path]) -> PipelineOptions:
@@ -445,6 +459,7 @@ def load_config(path: Union[str, Path]) -> PipelineOptions:
     path = Path(path)
     if not path.exists():
         raise MissingInputFile(str(path))
+    keys = _config_keys(path.parent)
     options = PipelineOptions()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -454,35 +469,11 @@ def load_config(path: Union[str, Path]) -> PipelineOptions:
             raise ConfigParseError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
+        field_name, parse_value = keys[key]
         try:
-            _apply_config(options, key, value, path.parent)
+            setattr(options, field_name, parse_value(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigParseError(f"{path}:{lineno}: {exc}") from exc
     return options
-
-
-def _apply_config(options: PipelineOptions, key: str, value: str,
-                  base: Path) -> None:
-    if key == "mode":
-        options.mode = value
-    elif key == "preprocessors":
-        options.preprocessors = tuple(v.strip() for v in value.split(",") if v.strip())
-    elif key == "rewrite_step_budget":
-        options.rewrite_step_budget = int(value)
-    elif key == "test_values":
-        options.test_values = tuple(Fraction(v.strip()) for v in value.split(","))
-    elif key == "threshold":
-        options.threshold = float(value)
-    elif key == "precision":
-        options.precision_digits = int(value)
-    elif key == "timeout_seconds":
-        options.timeout_seconds = float(value)
-    elif key == "comparison_mode":
-        options.comparison_mode = value
-    elif key == "jobs":
-        options.jobs = int(value)
-    else:  # path-valued keys resolve relative to the config file
-        resolved = str((base / value).resolve()) if not Path(value).is_absolute() else value
-        setattr(options, key, resolved)

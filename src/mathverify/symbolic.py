@@ -11,11 +11,11 @@ normalizes to zero (or the quotient to one) wins and is recorded.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import ir
 from .calculus import resolve_derivatives
@@ -157,16 +157,6 @@ def _parse_condition(clause: str, lineno: int) -> tuple[str, str, Optional[Fract
         kind = {">=": "ge", ">": "gt", "!=": "ne"}[parts[1]]
         return (parts[0], kind, Fraction(parts[2]))
     raise MalformedRule(f"line {lineno}: bad condition {clause!r}")
-
-
-def load_rewrite_rules_file(
-    path: Union[str, Path],
-    macro_table: MacroTable,
-    translation_table: TranslationTable,
-) -> tuple[RewriteRule, ...]:
-    return load_rewrite_rules(
-        Path(path).read_text(encoding="utf-8"), macro_table, translation_table
-    )
 
 
 # --- assumption-aware sign analysis ---
@@ -383,41 +373,13 @@ class _Rewriter:
         return None
 
     def rewrite(self, expr: Expr) -> Expr:
-        rebuilt = self._rebuild(expr)
+        rebuilt = ir.map_children(expr, self.rewrite)
         for _ in range(32):
             replaced = self._try_rules(rebuilt)
             if replaced is None:
                 return rebuilt
-            rebuilt = self._rebuild(replaced)
+            rebuilt = ir.map_children(replaced, self.rewrite)
         return rebuilt
-
-    def _rebuild(self, expr: Expr) -> Expr:
-        if isinstance(expr, (Number, Const, Var)):
-            return expr
-        if isinstance(expr, Add):
-            return ir.add(*(self.rewrite(t) for t in expr.terms))
-        if isinstance(expr, Mul):
-            return ir.mul(*(self.rewrite(f) for f in expr.factors))
-        if isinstance(expr, Pow):
-            return ir.power(self.rewrite(expr.base), self.rewrite(expr.exponent))
-        if isinstance(expr, Neg):
-            return ir.neg(self.rewrite(expr.operand))
-        if isinstance(expr, FunctionApp):
-            return FunctionApp(
-                expr.func,
-                tuple(self.rewrite(p) for p in expr.params),
-                tuple(self.rewrite(a) for a in expr.args),
-            )
-        if isinstance(expr, Derivative):
-            return Derivative(self.rewrite(expr.operand), expr.var, expr.order)
-        if isinstance(expr, BigOp):
-            return BigOp(
-                expr.kind, expr.var,
-                self.rewrite(expr.lo) if expr.lo is not None else None,
-                self.rewrite(expr.hi) if expr.hi is not None else None,
-                self.rewrite(expr.body),
-            )
-        return expr
 
 
 def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
@@ -448,32 +410,7 @@ def _genhyper(numerator: Sequence[Expr], denominator: Sequence[Expr], z: Expr) -
 
 def _map_tree(expr: Expr, fn) -> Expr:
     """Bottom-up structural map."""
-    if isinstance(expr, (Number, Const, Var)):
-        return fn(expr)
-    if isinstance(expr, Add):
-        return fn(ir.add(*(_map_tree(t, fn) for t in expr.terms)))
-    if isinstance(expr, Mul):
-        return fn(ir.mul(*(_map_tree(f, fn) for f in expr.factors)))
-    if isinstance(expr, Pow):
-        return fn(ir.power(_map_tree(expr.base, fn), _map_tree(expr.exponent, fn)))
-    if isinstance(expr, Neg):
-        return fn(ir.neg(_map_tree(expr.operand, fn)))
-    if isinstance(expr, FunctionApp):
-        return fn(FunctionApp(
-            expr.func,
-            tuple(_map_tree(p, fn) for p in expr.params),
-            tuple(_map_tree(a, fn) for a in expr.args),
-        ))
-    if isinstance(expr, Derivative):
-        return fn(Derivative(_map_tree(expr.operand, fn), expr.var, expr.order))
-    if isinstance(expr, BigOp):
-        return fn(BigOp(
-            expr.kind, expr.var,
-            _map_tree(expr.lo, fn) if expr.lo is not None else None,
-            _map_tree(expr.hi, fn) if expr.hi is not None else None,
-            _map_tree(expr.body, fn),
-        ))
-    return fn(expr)
+    return fn(ir.map_children(expr, lambda child: _map_tree(child, fn)))
 
 
 _I = Const(ir.IMAGINARY_UNIT)
@@ -736,6 +673,8 @@ def verify_symbolic(
             f"symbolic verification requires an equation, got {rel.kind!r}"
         )
     assumptions = tuple(domains) or config.assumptions
+    sub_config = dataclasses.replace(config, mode=MODE_DIFFERENCE, assumptions=assumptions)
+    quo_config = dataclasses.replace(config, mode=MODE_QUOTIENT, assumptions=assumptions)
     best: Optional[SymbolicOutcome] = None
     for pre in config.preprocessors:
         try:
@@ -744,13 +683,6 @@ def verify_symbolic(
             continue
         for lhs, rhs in variants:
             if config.mode in (MODE_DIFFERENCE, MODE_BOTH):
-                sub_config = SimplifyConfig(
-                    mode=MODE_DIFFERENCE,
-                    preprocessors=config.preprocessors,
-                    rewrite_step_budget=config.rewrite_step_budget,
-                    assumptions=assumptions,
-                    rules=config.rules,
-                )
                 outcome, _ = simplify(ir.sub(lhs, rhs), sub_config)
                 if outcome.classification == CLASS_ZERO:
                     outcome.winning_preprocessor = pre
@@ -760,13 +692,6 @@ def verify_symbolic(
             if config.mode in (MODE_QUOTIENT, MODE_BOTH):
                 if rel.lhs == ir.ZERO or rel.rhs == ir.ZERO:
                     continue  # quotient form refuses a literal zero side
-                quo_config = SimplifyConfig(
-                    mode=MODE_QUOTIENT,
-                    preprocessors=config.preprocessors,
-                    rewrite_step_budget=config.rewrite_step_budget,
-                    assumptions=assumptions,
-                    rules=config.rules,
-                )
                 outcome, _ = simplify(ir.div(lhs, rhs), quo_config)
                 if outcome.classification == CLASS_ONE:
                     outcome.winning_preprocessor = pre

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import ir
 from .errors import (
@@ -119,10 +118,6 @@ class TranslationTable:
                 return e
         return None
 
-    def numeric_supported(self, ir_id: str) -> bool:
-        entry = self.by_ir_id(ir_id)
-        return entry is not None and entry.numeric_support
-
     def __iter__(self):
         return iter(self._by_meaning.values())
 
@@ -154,10 +149,6 @@ def load_translation_table(source: str) -> TranslationTable:
             )
         )
     return TranslationTable(entries)
-
-
-def load_translation_table_file(path: Union[str, Path]) -> TranslationTable:
-    return load_translation_table(Path(path).read_text(encoding="utf-8"))
 
 
 def _apply_arg_rewrite(rewrite: str, args: tuple[Expr, ...]) -> tuple[Expr, ...]:

@@ -1,6 +1,8 @@
+import difflib
 import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from mathverify.pipeline import (
 )
 
 MINI = str(resources.files("mathverify").joinpath("data", "mini_corpus.jsonl"))
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,24 @@ def test_aggregation_order_independent(report):
         assert [c.__dict__ for c in again.chapters] == \
             [c.__dict__ for c in report.chapters]
         assert again.totals.__dict__ == report.totals.__dict__
+
+
+@pytest.mark.parametrize("fmt, golden", [
+    ("structured", "mini_corpus_report.structured.jsonl"),
+    ("text", "mini_corpus_report.txt"),
+])
+def test_mini_corpus_report_matches_golden_file(report, fmt, golden):
+    # The golden files pin the whole mini-corpus report byte for byte.
+    # Regenerate them only in a change that means to alter the output.
+    expected = (DATA / golden).read_bytes()
+    actual = render_report(report, fmt)
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.decode("utf-8").splitlines(),
+            actual.decode("utf-8").splitlines(),
+            golden, "render_report", lineterm="", n=0,
+        )
+        pytest.fail("report differs from golden file:\n" + "\n".join(diff))
 
 
 def test_percentages_recomputed_from_counts():

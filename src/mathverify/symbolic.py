@@ -12,10 +12,11 @@ normalizes to zero (or the quotient to one) wins and is recorded.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import ir
 from .calculus import resolve_derivatives
@@ -421,36 +422,50 @@ def _exp_of(u: Expr) -> Expr:
     return ir.power(_E, u)
 
 
+def _sin_form(u: Expr) -> Expr:
+    iu, miu = ir.mul(_I, u), ir.mul(ir.MINUS_ONE, _I, u)
+    return ir.div(ir.sub(_exp_of(iu), _exp_of(miu)), ir.mul(ir.num(2), _I))
+
+
+def _cos_form(u: Expr) -> Expr:
+    iu, miu = ir.mul(_I, u), ir.mul(ir.MINUS_ONE, _I, u)
+    return ir.div(ir.add(_exp_of(iu), _exp_of(miu)), ir.num(2))
+
+
+def _sinh_form(u: Expr) -> Expr:
+    return ir.div(ir.sub(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
+
+
+def _cosh_form(u: Expr) -> Expr:
+    return ir.div(ir.add(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
+
+
+_EXPONENTIAL_FORMS = {
+    "sin": _sin_form,
+    "cos": _cos_form,
+    "tan": lambda u: ir.div(_sin_form(u), _cos_form(u)),
+    "csc": lambda u: ir.div(ir.ONE, _sin_form(u)),
+    "sec": lambda u: ir.div(ir.ONE, _cos_form(u)),
+    "cot": lambda u: ir.div(_cos_form(u), _sin_form(u)),
+    "sinh": _sinh_form,
+    "cosh": _cosh_form,
+    "tanh": lambda u: ir.div(_sinh_form(u), _cosh_form(u)),
+    "csch": lambda u: ir.div(ir.ONE, _sinh_form(u)),
+    "sech": lambda u: ir.div(ir.ONE, _cosh_form(u)),
+    "coth": lambda u: ir.div(_cosh_form(u), _sinh_form(u)),
+}
+
+
 def to_exponential_form(expr: Expr) -> Expr:
     """Rewrite trigonometric/hyperbolic functions (and reciprocals) in
     terms of powers of e; every other node passes through unchanged."""
 
     def convert(node: Expr) -> Expr:
-        if not isinstance(node, FunctionApp) or node.params or len(node.args) != 1:
-            return node
-        u = node.args[0]
-        iu = ir.mul(_I, u)
-        miu = ir.mul(ir.MINUS_ONE, _I, u)
-        two_i = ir.mul(ir.num(2), _I)
-        sin_form = ir.div(ir.sub(_exp_of(iu), _exp_of(miu)), two_i)
-        cos_form = ir.div(ir.add(_exp_of(iu), _exp_of(miu)), ir.num(2))
-        sinh_form = ir.div(ir.sub(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
-        cosh_form = ir.div(ir.add(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
-        table = {
-            "sin": sin_form,
-            "cos": cos_form,
-            "tan": ir.div(sin_form, cos_form),
-            "csc": ir.div(ir.ONE, sin_form),
-            "sec": ir.div(ir.ONE, cos_form),
-            "cot": ir.div(cos_form, sin_form),
-            "sinh": sinh_form,
-            "cosh": cosh_form,
-            "tanh": ir.div(sinh_form, cosh_form),
-            "csch": ir.div(ir.ONE, sinh_form),
-            "sech": ir.div(ir.ONE, cosh_form),
-            "coth": ir.div(cosh_form, sinh_form),
-        }
-        return table.get(node.func, node)
+        if isinstance(node, FunctionApp) and not node.params and len(node.args) == 1:
+            form = _EXPONENTIAL_FORMS.get(node.func)
+            if form is not None:
+                return form(node.args[0])
+        return node
 
     return _map_tree(expr, convert)
 
@@ -642,22 +657,29 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None) -> tuple[Symbo
     return outcome, emit(rf)
 
 
-def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr) -> list[tuple[Expr, Expr]]:
+def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,
+                         expanded: Callable[[], Optional[tuple[Expr, Expr]]],
+                         ) -> list[tuple[Expr, Expr]]:
+    """The converted ``(lhs, rhs)`` pairs of one preprocessor; ``expanded``
+    returns both sides expanded, or None when expansion failed."""
     if pre == PRE_NONE:
         return [(lhs, rhs)]
     if pre == PRE_EXPONENTIAL:
         return [(to_exponential_form(lhs), to_exponential_form(rhs))]
     if pre == PRE_HYPERGEOMETRIC:
         return [(to_hypergeometric_form(lhs), to_hypergeometric_form(rhs))]
+    if pre not in (PRE_EXPAND, PRE_EXPAND_CONVERT):
+        raise ValueError(f"unknown preprocessor {pre!r}")
+    sides = expanded()
+    if sides is None:
+        return []
     if pre == PRE_EXPAND:
-        return [(expand(lhs), expand(rhs))]
-    if pre == PRE_EXPAND_CONVERT:
-        el, er = expand(lhs), expand(rhs)
-        return [
-            (to_exponential_form(el), to_exponential_form(er)),
-            (to_hypergeometric_form(el), to_hypergeometric_form(er)),
-        ]
-    raise ValueError(f"unknown preprocessor {pre!r}")
+        return [sides]
+    el, er = sides
+    return [
+        (to_exponential_form(el), to_exponential_form(er)),
+        (to_hypergeometric_form(el), to_hypergeometric_form(er)),
+    ]
 
 
 def verify_symbolic(
@@ -666,34 +688,45 @@ def verify_symbolic(
     config: Optional[SimplifyConfig] = None,
 ) -> SymbolicOutcome:
     """Simplify lhs-rhs (and lhs/rhs when the mode allows) under each
-    preprocessor in order; the first zero/one outcome wins."""
+    preprocessor in order; the first zero/one outcome wins.  A candidate
+    that an earlier preprocessor already produced is not simplified
+    again: ``simplify`` is deterministic, so the repeat could neither win
+    nor be more informative than its first occurrence."""
     config = config or SimplifyConfig()
     if rel.kind not in (ir.REL_EQ, ir.REL_EQUIV):
         raise NonEquationRelation(
             f"symbolic verification requires an equation, got {rel.kind!r}"
         )
     assumptions = tuple(domains) or config.assumptions
-    sub_config = dataclasses.replace(config, mode=MODE_DIFFERENCE, assumptions=assumptions)
-    quo_config = dataclasses.replace(config, mode=MODE_QUOTIENT, assumptions=assumptions)
+    attempts = []  # (config, candidate builder, winning class)
+    if config.mode in (MODE_DIFFERENCE, MODE_BOTH):
+        attempts.append((dataclasses.replace(
+            config, mode=MODE_DIFFERENCE, assumptions=assumptions), ir.sub, CLASS_ZERO))
+    # The quotient form refuses a literal zero side.
+    if config.mode in (MODE_QUOTIENT, MODE_BOTH) \
+            and rel.lhs != ir.ZERO and rel.rhs != ir.ZERO:
+        attempts.append((dataclasses.replace(
+            config, mode=MODE_QUOTIENT, assumptions=assumptions), ir.div, CLASS_ONE))
+
+    @functools.cache
+    def expanded() -> Optional[tuple[Expr, Expr]]:
+        try:
+            return expand(rel.lhs), expand(rel.rhs)
+        except (BudgetExceeded, SymbolicError):
+            return None
+
+    tried: set[tuple[str, Expr]] = set()
     best: Optional[SymbolicOutcome] = None
     for pre in config.preprocessors:
-        try:
-            variants = _preprocess_variants(pre, rel.lhs, rel.rhs)
-        except (BudgetExceeded, SymbolicError):
-            continue
-        for lhs, rhs in variants:
-            if config.mode in (MODE_DIFFERENCE, MODE_BOTH):
-                outcome, _ = simplify(ir.sub(lhs, rhs), sub_config)
-                if outcome.classification == CLASS_ZERO:
-                    outcome.winning_preprocessor = pre
-                    return outcome
-                if best is None or _more_informative(outcome, best):
-                    best = outcome
-            if config.mode in (MODE_QUOTIENT, MODE_BOTH):
-                if rel.lhs == ir.ZERO or rel.rhs == ir.ZERO:
-                    continue  # quotient form refuses a literal zero side
-                outcome, _ = simplify(ir.div(lhs, rhs), quo_config)
-                if outcome.classification == CLASS_ONE:
+        for lhs, rhs in _preprocess_variants(pre, rel.lhs, rel.rhs, expanded):
+            for mode_config, build, target in attempts:
+                candidate = build(lhs, rhs)
+                key = (mode_config.mode, candidate)
+                if key in tried:
+                    continue
+                tried.add(key)
+                outcome, _ = simplify(candidate, mode_config)
+                if outcome.classification == target:
                     outcome.winning_preprocessor = pre
                     return outcome
                 if best is None or _more_informative(outcome, best):

@@ -1,23 +1,30 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from mathverify import ir
+from mathverify import ir, symbolic
 from mathverify.constraints import VariableDomain
-from mathverify.errors import BudgetExceeded, NonEquationRelation
+from mathverify.errors import BudgetExceeded, NonEquationRelation, SymbolicError
 from mathverify.ir import Const, FunctionApp, Var, free_variables
 from mathverify.numeric import NumericConfig, eval_expr
 from mathverify.parser import parse, tokenize
 from mathverify.symbolic import (
+    CLASS_ERROR,
+    CLASS_ONE,
     CLASS_OTHER_NUMERIC,
     CLASS_UNSIMPLIFIED,
     CLASS_ZERO,
+    MODE_BOTH,
     MODE_DIFFERENCE,
     MODE_QUOTIENT,
+    PRE_EXPAND,
     PRE_EXPONENTIAL,
+    PRE_HYPERGEOMETRIC,
     PRE_NONE,
     SimplifyConfig,
+    SymbolicOutcome,
     expand,
     simplify,
     to_exponential_form,
@@ -252,6 +259,121 @@ def test_monotone_classification_over_corpus(tables, mini_corpus):
             zero_under_full.add(record.id)
     assert zero_under_none <= zero_under_full
     assert len(zero_under_full) > len(zero_under_none)
+
+
+# --- repeated candidates ---
+
+def _all_candidates_reference(rel, domains, config):
+    """``verify_symbolic`` before repeated candidates were skipped: every
+    candidate of every preprocessor is simplified, and each of the two
+    expand preprocessors expands both sides itself."""
+    assumptions = tuple(domains) or config.assumptions
+    sub_config = dataclasses.replace(config, mode=MODE_DIFFERENCE, assumptions=assumptions)
+    quo_config = dataclasses.replace(config, mode=MODE_QUOTIENT, assumptions=assumptions)
+    rank = {CLASS_OTHER_NUMERIC: 2, CLASS_UNSIMPLIFIED: 1, CLASS_ERROR: 0}
+    best = None
+    for pre in config.preprocessors:
+        try:
+            if pre == PRE_NONE:
+                variants = [(rel.lhs, rel.rhs)]
+            elif pre == PRE_EXPONENTIAL:
+                variants = [(to_exponential_form(rel.lhs), to_exponential_form(rel.rhs))]
+            elif pre == PRE_HYPERGEOMETRIC:
+                variants = [(to_hypergeometric_form(rel.lhs),
+                             to_hypergeometric_form(rel.rhs))]
+            elif pre == PRE_EXPAND:
+                variants = [(expand(rel.lhs), expand(rel.rhs))]
+            else:
+                el, er = expand(rel.lhs), expand(rel.rhs)
+                variants = [
+                    (to_exponential_form(el), to_exponential_form(er)),
+                    (to_hypergeometric_form(el), to_hypergeometric_form(er)),
+                ]
+        except (BudgetExceeded, SymbolicError):
+            continue
+        for lhs, rhs in variants:
+            if config.mode in (MODE_DIFFERENCE, MODE_BOTH):
+                outcome, _ = simplify(ir.sub(lhs, rhs), sub_config)
+                if outcome.classification == CLASS_ZERO:
+                    outcome.winning_preprocessor = pre
+                    return outcome
+                if best is None or rank.get(outcome.classification, 0) > \
+                        rank.get(best.classification, 0):
+                    best = outcome
+            if config.mode in (MODE_QUOTIENT, MODE_BOTH):
+                if rel.lhs == ir.ZERO or rel.rhs == ir.ZERO:
+                    continue
+                outcome, _ = simplify(ir.div(lhs, rhs), quo_config)
+                if outcome.classification == CLASS_ONE:
+                    outcome.winning_preprocessor = pre
+                    return outcome
+                if best is None or rank.get(outcome.classification, 0) > \
+                        rank.get(best.classification, 0):
+                    best = outcome
+    return best if best is not None else SymbolicOutcome(CLASS_UNSIMPLIFIED)
+
+
+def _corpus_equations(tables, mini_corpus):
+    from mathverify.constraints import interpret_constraints
+
+    equations = []
+    for record in mini_corpus:
+        try:
+            rel = tr(record.latex, tables)
+        except Exception:
+            continue
+        if rel.kind not in (ir.REL_EQ, ir.REL_EQUIV):
+            continue
+        interp = interpret_constraints(record.constraints, tables.blueprints,
+                                       tables.macro_table)
+        equations.append((record.id, rel, tuple(interp.domains)))
+    # Expansion of this one exceeds its budget, so both expand
+    # preprocessors are skipped.
+    huge = ir.power(ir.add(Var("x"), Var("y")), ir.num(300))
+    equations.append(("expand_budget", ir.Relation(ir.REL_EQ, huge, ir.ONE), ()))
+    return equations
+
+
+def _fields(outcome):
+    return (outcome.classification, outcome.value, outcome.winning_preprocessor,
+            outcome.steps_used, outcome.error_kind)
+
+
+@pytest.mark.parametrize("mode", [MODE_DIFFERENCE, MODE_QUOTIENT, MODE_BOTH])
+def test_skipping_repeated_candidates_keeps_every_outcome(mode, tables, mini_corpus):
+    config = default_config(tables, mode=mode)
+    equations = _corpus_equations(tables, mini_corpus)
+    assert len(equations) > 30
+    for rid, rel, domains in equations:
+        expected = _all_candidates_reference(rel, domains, config)
+        assert _fields(verify_symbolic(rel, domains, config)) == _fields(expected), rid
+
+
+def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
+    calls = []
+    expansions = []
+    real_simplify, real_expand = symbolic.simplify, symbolic.expand
+
+    def recording_simplify(expr, config=None):
+        calls[-1].append((config.mode, expr))
+        return real_simplify(expr, config)
+
+    def recording_expand(expr, **kw):
+        expansions[-1].append(expr)
+        return real_expand(expr, **kw)
+
+    monkeypatch.setattr(symbolic, "simplify", recording_simplify)
+    monkeypatch.setattr(symbolic, "expand", recording_expand)
+    config = default_config(tables)
+    for rid, rel, domains in _corpus_equations(tables, mini_corpus):
+        calls.append([])
+        expansions.append([])
+        verify_symbolic(rel, domains, config)
+        assert len(set(calls[-1])) == len(calls[-1]), rid
+        assert len(expansions[-1]) <= 2, rid
+        assert len(set(expansions[-1])) == len(expansions[-1]), rid
+    assert sum(map(len, calls)) > 90
+    assert any(len(e) == 2 for e in expansions)
 
 
 # --- rewrite rule self-validation ---

@@ -15,9 +15,30 @@ from typing import Callable, Iterator, Optional
 
 
 class Expr:
-    """Base class for all IR expression nodes."""
+    """Base class for all IR expression nodes.
 
-    __slots__ = ()
+    Every node memoizes its hash and its `sort_key` in two slots, filled
+    on first use.  They are not dataclass fields, so equality, ``repr``
+    and pickling see only the fields."""
+
+    __slots__ = ("_hash", "_sort_key")
+
+
+def _node(cls):
+    """A frozen slotted dataclass node whose field hash is computed once."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 # Constant identifiers.
@@ -49,7 +70,7 @@ OP_LIM = "lim"
 OP_ANTIDER = "antider"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Number(Expr):
     value: Fraction
 
@@ -58,7 +79,7 @@ class Number(Expr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Const(Expr):
     name: str
 
@@ -67,40 +88,40 @@ class Const(Expr):
             raise ValueError(f"unknown constant {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expr):
     terms: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expr):
     factors: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FunctionApp(Expr):
     func: str
     params: tuple[Expr, ...] = ()
     args: tuple[Expr, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Derivative(Expr):
     operand: Expr
     var: str
@@ -111,7 +132,7 @@ class Derivative(Expr):
             raise ValueError("derivative order must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class BigOp(Expr):
     kind: str
     var: str
@@ -214,13 +235,27 @@ def neg_term(operand: Expr) -> Expr:
     return Neg(operand)
 
 
+# Exact rational powers are folded only up to this many bits per
+# numerator or denominator, far below the roughly 14,000 bits (4300
+# digits) that Python will convert from int to str.
+MAX_EXACT_POWER_BITS = 4096
+
+
+def exact_power_too_large(base: Fraction, exponent: Fraction) -> bool:
+    """Whether base**exponent may exceed `MAX_EXACT_POWER_BITS`; checked
+    before computing, so a huge power is never built."""
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+    return abs(exponent) * bits > MAX_EXACT_POWER_BITS
+
+
 def power(base: Expr, exponent: Expr) -> Expr:
     if isinstance(exponent, Number):
         if exponent.value == 1:
             return base
         if exponent.value == 0:
             return ONE
-        if isinstance(base, Number) and exponent.value.denominator == 1:
+        if isinstance(base, Number) and exponent.value.denominator == 1 \
+                and not exact_power_too_large(base.value, exponent.value):
             e = int(exponent.value)
             if e >= 0:
                 return Number(base.value ** e)
@@ -349,7 +384,17 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
 
 
 def sort_key(expr: Expr) -> tuple:
-    """Deterministic total order used for canonical printing and sorting."""
+    """Deterministic total order used for canonical printing and sorting;
+    computed once per node."""
+    try:
+        return expr._sort_key
+    except AttributeError:
+        key = _sort_key(expr)
+        object.__setattr__(expr, "_sort_key", key)
+        return key
+
+
+def _sort_key(expr: Expr) -> tuple:
     if isinstance(expr, Number):
         return (0, str(expr.value))
     if isinstance(expr, Const):

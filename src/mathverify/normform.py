@@ -40,6 +40,7 @@ Mono = tuple[tuple[Expr, ExpKey], ...]
 Poly = dict[Mono, Fraction]
 
 EMPTY_MONO: Mono = ()
+_FRACTION_ZERO = Fraction(0)
 
 ODD_FUNCTIONS = frozenset({
     "sin", "tan", "csc", "cot", "sinh", "tanh", "csch", "coth",
@@ -73,6 +74,9 @@ class NormContext:
 
 @dataclass(frozen=True, slots=True)
 class RatForm:
+    """A normalized fraction.  `_freeze` is the only place one is built,
+    so ``num`` and ``den`` are always in `_mono_sort_key` order."""
+
     num: tuple[tuple[Mono, Fraction], ...]
     den: tuple[tuple[Mono, Fraction], ...]
 
@@ -85,6 +89,7 @@ def _freeze(num: Poly, den: Poly) -> RatForm:
 
 
 ONE_POLY: Poly = {EMPTY_MONO: Fraction(1)}
+_ONE_TERMS = tuple(ONE_POLY.items())
 
 
 def const_poly(value: Fraction) -> Poly:
@@ -126,7 +131,10 @@ def _as_exp_key(expr: Expr) -> ExpKey:
 
 
 def _exact_rational_pow(base: Fraction, exp: Fraction) -> Optional[Fraction]:
-    """base**exp when the result is exactly rational, else None."""
+    """base**exp when the result is exactly rational and not too large
+    to fold (`ir.exact_power_too_large`), else None."""
+    if ir.exact_power_too_large(base, exp):
+        return None
     if exp.denominator == 1:
         e = int(exp)
         if e >= 0:
@@ -134,22 +142,24 @@ def _exact_rational_pow(base: Fraction, exp: Fraction) -> Optional[Fraction]:
         return None if base == 0 else Fraction(1) / base ** (-e)
     if base < 0:
         return None  # principal value is not real
-    root = exp.denominator
-
-    def iroot(n: int) -> Optional[int]:
-        if n == 0:
-            return 0
-        r = round(n ** (1.0 / root))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** root == n:
-                return cand
-        return None
-
-    pn = iroot(base.numerator)
-    pd = iroot(base.denominator)
+    pn = _exact_root(base.numerator, exp.denominator)
+    pd = _exact_root(base.denominator, exp.denominator)
     if pn is None or pd is None:
         return None
     return Fraction(pn, pd) ** exp.numerator
+
+
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """The integer k-th root of n >= 0 when it is exact, else None.
+    Integer Newton steps from above, so no float conversion can overflow."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == n else None
+        x = y
 
 
 def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) -> Poly:
@@ -234,14 +244,18 @@ def mono_mul(m1: Mono, m2: Mono, coef: Fraction, ctx: NormContext) -> Poly:
     return _post_mono(entries, coef, ctx)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
+def _poly_add_into(out: Poly, q: Poly) -> None:
     for mono, c in q.items():
-        nc = out.get(mono, Fraction(0)) + c
+        nc = out.get(mono, _FRACTION_ZERO) + c
         if nc == 0:
             out.pop(mono, None)
         else:
             out[mono] = nc
+
+
+def poly_add(p: Poly, q: Poly) -> Poly:
+    out = dict(p)
+    _poly_add_into(out, q)
     return out
 
 
@@ -250,7 +264,7 @@ def poly_mul(p: Poly, q: Poly, ctx: NormContext) -> Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             ctx.tick()
-            out = poly_add(out, mono_mul(m1, m2, c1 * c2, ctx))
+            _poly_add_into(out, mono_mul(m1, m2, c1 * c2, ctx))
     return out
 
 
@@ -708,21 +722,21 @@ def _gamma_reflect(rat: _Rat, ctx: NormContext) -> _Rat:
 # --- emission ---
 
 def emit(rf: RatForm) -> Expr:
-    num = _emit_poly(dict(rf.num))
-    den_poly = dict(rf.den)
-    if den_poly == ONE_POLY:
+    num = _emit_poly(rf.num)
+    if rf.den == _ONE_TERMS:
         return num
-    if not dict(rf.num):
+    if not rf.num:
         return ir.ZERO
-    den = _emit_poly(den_poly)
+    den = _emit_poly(rf.den)
     return ir.mul(num, ir.power(den, ir.MINUS_ONE))
 
 
-def _emit_poly(p: Poly) -> Expr:
-    if not p:
+def _emit_poly(items: tuple[tuple[Mono, Fraction], ...]) -> Expr:
+    """Emit the frozen items of a polynomial in their stored order."""
+    if not items:
         return ir.ZERO
     terms = []
-    for mono, coef in sorted(p.items(), key=lambda kv: _mono_sort_key(kv[0])):
+    for mono, coef in items:
         factors: list[Expr] = []
         if coef != 1 or not mono:
             factors.append(Number(coef))

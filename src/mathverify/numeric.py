@@ -235,6 +235,17 @@ def _eval_function(expr: FunctionApp, assign: dict, ctx: EvalContext):
     return _check_finite(value)
 
 
+# One-argument functions that map straight onto an mpmath function.
+_SIMPLE_FUNCTIONS = {
+    "sin": mp.sin, "cos": mp.cos, "tan": mp.tan,
+    "sec": mp.sec, "csc": mp.csc, "cot": mp.cot,
+    "sinh": mp.sinh, "cosh": mp.cosh, "tanh": mp.tanh,
+    "sech": mp.sech, "csch": mp.csch, "coth": mp.coth,
+    "arcsin": mp.asin, "arccos": mp.acos, "arctan": mp.atan,
+    "gamma": mp.gamma, "erf": mp.erf, "erfc": mp.erfc,
+}
+
+
 def _dispatch(func: str, params: list, args: list, ctx: EvalContext):
     if func == "ln":
         if _is_real(args[0]) and mp.re(args[0]) < 0:
@@ -246,16 +257,9 @@ def _dispatch(func: str, params: list, args: list, ctx: EvalContext):
         if _is_real(args[0]) and mp.re(args[0]) < 0:
             ctx.branch_sensitive = True
         return mp.loggamma(args[0])
-    simple = {
-        "sin": mp.sin, "cos": mp.cos, "tan": mp.tan,
-        "sec": mp.sec, "csc": mp.csc, "cot": mp.cot,
-        "sinh": mp.sinh, "cosh": mp.cosh, "tanh": mp.tanh,
-        "sech": mp.sech, "csch": mp.csch, "coth": mp.coth,
-        "arcsin": mp.asin, "arccos": mp.acos, "arctan": mp.atan,
-        "gamma": mp.gamma, "erf": mp.erf, "erfc": mp.erfc,
-    }
-    if func in simple:
-        return simple[func](args[0])
+    simple = _SIMPLE_FUNCTIONS.get(func)
+    if simple is not None:
+        return simple(args[0])
     if func == "bessel_j":
         return mp.besselj(params[0], args[0])
     if func == "bessel_y":

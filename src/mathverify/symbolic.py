@@ -344,10 +344,44 @@ def _match_commutative(pattern_children: list[Expr], subject_children: list[Expr
     return False
 
 
+def _head(expr: Expr):
+    """What a pattern must share with a subject to match it: the function
+    name of a `FunctionApp`, the node type otherwise."""
+    return expr.func if isinstance(expr, FunctionApp) else type(expr)
+
+
+# id(rules) -> (rules, index); holding the rules keeps their id unique.
+_RULE_INDEXES: dict[int, tuple[Sequence[RewriteRule], dict]] = {}
+
+
+def _rule_index(rules: Sequence[RewriteRule]) -> dict:
+    """Rules by pattern head, each list in table order.  A bare
+    placeholder matches any subject, so its rule joins every list and
+    (under the key None) the list for heads no pattern has.  Built once
+    per rules object, which must not be mutated afterwards."""
+    hit = _RULE_INDEXES.get(id(rules))
+    if hit is not None and hit[0] is rules:
+        return hit[1]
+    index: dict = {None: []}
+    for rule in rules:
+        if not _is_placeholder(rule.pattern):
+            index[_head(rule.pattern)] = []
+    for rule in rules:
+        if _is_placeholder(rule.pattern):
+            for bucket in index.values():
+                bucket.append(rule)
+        else:
+            index[_head(rule.pattern)].append(rule)
+    if len(_RULE_INDEXES) >= 16:
+        _RULE_INDEXES.clear()
+    _RULE_INDEXES[id(rules)] = (rules, index)
+    return index
+
+
 class _Rewriter:
     def __init__(self, rules: Sequence[RewriteRule],
                  domains: Sequence[VariableDomain], budget: int):
-        self.rules = rules
+        self.index = _rule_index(rules)
         self.domains = domains
         self.budget = budget
         self.steps = 0
@@ -358,7 +392,8 @@ class _Rewriter:
             raise BudgetExceeded("rewrite budget exhausted")
 
     def _try_rules(self, expr: Expr) -> Optional[Expr]:
-        for rule in self.rules:
+        index = self.index
+        for rule in index.get(_head(expr), index[None]):
             binding: dict[str, Expr] = {}
             if not match_pattern(rule.pattern, expr, binding):
                 continue

@@ -1,4 +1,8 @@
-"""Tree rebuilding through ``ir.map_children`` and its callers."""
+"""Tree rebuilding through ``ir.map_children`` and its callers, and the
+hash and sort key each node memoizes."""
+
+import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -88,3 +92,75 @@ def test_tree_transforms_reach_nested_nodes(transform, nesting):
     wrap = _NESTINGS[nesting]
     assert fn(inner) != inner
     assert fn(wrap(inner)) == wrap(fn(inner))
+
+
+# --- memoized hash and sort key ---
+
+def _reference_sort_key(expr):
+    """The recursive sort key as it was before nodes memoized it."""
+    key = _reference_sort_key
+    if isinstance(expr, ir.Number):
+        return (0, str(expr.value))
+    if isinstance(expr, Const):
+        return (1, expr.name)
+    if isinstance(expr, Var):
+        return (2, expr.name)
+    if isinstance(expr, ir.Pow):
+        return (3, key(expr.base), key(expr.exponent))
+    if isinstance(expr, ir.Mul):
+        return (4,) + tuple(key(f) for f in expr.factors)
+    if isinstance(expr, ir.Add):
+        return (5,) + tuple(key(t) for t in expr.terms)
+    if isinstance(expr, ir.Neg):
+        return (6, key(expr.operand))
+    if isinstance(expr, FunctionApp):
+        return (7, expr.func) + tuple(key(c) for c in expr.params + expr.args)
+    if isinstance(expr, Derivative):
+        return (8, expr.var, expr.order, key(expr.operand))
+    if isinstance(expr, BigOp):
+        out = [9, expr.kind, expr.var]
+        for b in (expr.lo, expr.hi):
+            out.append(key(b) if b is not None else ("",))
+        out.append(key(expr.body))
+        return tuple(out)
+    raise TypeError(expr)
+
+
+def _fields(expr):
+    return tuple(getattr(expr, f.name) for f in dataclasses.fields(expr))
+
+
+def _twin(expr):
+    """An equal tree built node by node with the plain constructors,
+    sharing no node with ``expr``."""
+    if not isinstance(expr, ir.Expr):
+        return expr
+    return type(expr)(*(
+        tuple(map(_twin, v)) if isinstance(v, tuple) else _twin(v)
+        for v in _fields(expr)
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+def test_memoized_hash_and_sort_key_match_the_fields(expr):
+    twin = _twin(expr)
+    # Nothing is computed until it is asked for.
+    assert not hasattr(twin, "_hash") and not hasattr(twin, "_sort_key")
+    assert twin == expr and twin is not expr
+    assert hash(twin) == hash(_fields(expr))  # the first call fills the memo
+    assert hash(twin) == hash(expr) == hash(_fields(expr))
+    expected = _reference_sort_key(expr)
+    assert ir.sort_key(expr) == expected
+    assert ir.sort_key(expr) == expected
+    assert ir.sort_key(twin) == expected
+    assert "_hash" not in repr(expr) and repr(twin) == repr(expr)
+    clone = pickle.loads(pickle.dumps(expr))
+    assert clone == expr
+    assert hash(clone) == hash(expr)
+    assert ir.sort_key(clone) == expected
+
+
+def test_sort_key_rejects_non_expressions():
+    with pytest.raises(TypeError):
+        ir.sort_key(ir.Relation(ir.REL_EQ, ir.ONE, ir.ONE))

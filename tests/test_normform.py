@@ -1,0 +1,121 @@
+"""The rational normal form's polynomial kernel and emission, checked
+against the loops they replaced, and its bounded exact powers."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mathverify import ir
+from mathverify.ir import Const, FunctionApp, Var
+from mathverify.normform import (
+    ONE_POLY,
+    NormContext,
+    _exact_rational_pow,
+    _exact_root,
+    _freeze,
+    _mono_sort_key,
+    emit,
+    mono_mul,
+    norm,
+    poly_add,
+    poly_mul,
+)
+
+_X, _Y = Var("x"), Var("y")
+# sin^2 expands through the Pythagorean relation inside mono_mul, so a
+# product of monomials can be a polynomial of several terms.
+_ATOMS = (_X, _Y, Const(ir.PI), FunctionApp("sin", (), (_X,)),
+          ir.Pow(_X, Var("s")))
+_EXPONENTS = (Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+
+
+@st.composite
+def _monos(draw):
+    atoms = draw(st.lists(st.sampled_from(_ATOMS), max_size=3, unique=True))
+    entries = [(a, draw(st.sampled_from(_EXPONENTS))) for a in atoms]
+    return tuple(sorted(entries, key=lambda kv: ir.sort_key(kv[0])))
+
+
+_polys = st.dictionaries(
+    _monos(),
+    st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2))),
+    max_size=4,
+)
+
+
+def _copying_poly_mul(p, q, ctx):
+    """poly_mul as it was: a fresh accumulator copy per monomial product."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            ctx.tick()
+            out = poly_add(out, mono_mul(m1, m2, c1 * c2, ctx))
+    return out
+
+
+def _sorting_emit(rf):
+    """emit as it was: each polynomial sorted again before emission."""
+
+    def emit_poly(p):
+        if not p:
+            return ir.ZERO
+        terms = []
+        for mono, coef in sorted(p.items(), key=lambda kv: _mono_sort_key(kv[0])):
+            factors = []
+            if coef != 1 or not mono:
+                factors.append(ir.Number(coef))
+            for atom, exp in mono:
+                factors.append(ir.power(atom, ir.Number(exp) if isinstance(exp, Fraction)
+                                        else exp))
+            terms.append(ir.mul(*factors) if len(factors) != 1 else factors[0])
+        return ir.add(*terms) if len(terms) != 1 else terms[0]
+
+    num = emit_poly(dict(rf.num))
+    if dict(rf.den) == ONE_POLY:
+        return num
+    if not dict(rf.num):
+        return ir.ZERO
+    return ir.mul(num, ir.power(emit_poly(dict(rf.den)), ir.MINUS_ONE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_poly_mul_matches_the_copying_loop(p, q):
+    ctx_new, ctx_old = NormContext(), NormContext()
+    product = poly_mul(p, q, ctx_new)
+    assert list(product.items()) == list(_copying_poly_mul(p, q, ctx_old).items())
+    assert ctx_new.steps == ctx_old.steps
+    # poly_add still leaves its arguments alone.
+    before = dict(p)
+    poly_add(p, q)
+    assert p == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_emit_matches_sort_then_emit(p, q):
+    for rf in (_freeze(p, ONE_POLY), _freeze(p, q or ONE_POLY),
+               norm(ir.add(_sorting_emit(_freeze(p, ONE_POLY)), _Y))):
+        assert emit(rf) == _sorting_emit(rf)
+
+
+def test_huge_exact_powers_stay_symbolic():
+    two = ir.num(2)
+    assert ir.power(two, ir.num(100)) == ir.num(2 ** 100)
+    assert isinstance(ir.power(two, ir.num(10 ** 5)), ir.Pow)
+    assert isinstance(ir.power(two, ir.num(-(10 ** 9))), ir.Pow)
+    assert _exact_rational_pow(Fraction(2), Fraction(10 ** 9)) is None
+    assert _exact_rational_pow(Fraction(4), Fraction(3, 2)) == 8
+    # Exact roots of numbers past the float range.
+    assert _exact_rational_pow(Fraction(10 ** 400), Fraction(1, 2)) == 10 ** 200
+    assert _exact_rational_pow(Fraction(10 ** 400 + 1), Fraction(1, 2)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 60), st.integers(2, 7))
+def test_exact_root(m, k):
+    assert _exact_root(m ** k, k) == m
+    # (m+1)^k - m^k > 1, so m^k + 1 is never a k-th power.
+    assert _exact_root(m ** k + 1, k) is None
+    assert _exact_root(0, k) == 0

@@ -211,6 +211,32 @@ def test_limit_relation_translates_but_is_not_verified(tmp_path, tables):
     assert outcome["symbolic"] is None and outcome["numeric"] is None
 
 
+@pytest.mark.parametrize("latex, maple", [
+    (r"2^{10^{5}} = 0", "2^100000 = 0"),
+    (r"x = 2^{20000}", "x = 2^20000"),
+    (r"2^{10^{9}} = 0", "2^1000000000 = 0"),
+])
+def test_huge_exact_power_gets_an_outcome(latex, maple, tables):
+    # Folding these powers used to build integers Python refuses to print,
+    # and the ValueError aborted the run; they now stay symbolic.
+    from mathverify.extraction import FormulaRecord
+    record = FormulaRecord(id="EF.903", chapter_code="EF", latex=latex)
+    out = verify_record(record, tables, PipelineOptions())
+    assert out["translated"] is True
+    assert out["maple"] == maple
+    assert out["symbolic"]["classification"] == "unsimplified"
+    assert out["numeric"]["classification"] == "above_threshold"
+
+
+def test_exact_root_past_the_float_range(tables):
+    # The integer root no longer goes through a float, which overflowed.
+    from mathverify.extraction import FormulaRecord
+    record = FormulaRecord(id="EF.904", chapter_code="EF",
+                           latex=r"\sqrt{10^{400}} = 10^{200}")
+    out = verify_record(record, tables, PipelineOptions())
+    assert out["symbolic"]["classification"] == "zero"
+
+
 def test_exit_semantics_errors_vs_outcomes(tmp_path):
     # Failed verification is a reported outcome, not a pipeline error.
     from mathverify.extraction import FormulaRecord, write_corpus

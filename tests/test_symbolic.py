@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathverify import ir, symbolic
 from mathverify.constraints import VariableDomain
@@ -23,6 +25,7 @@ from mathverify.symbolic import (
     PRE_EXPONENTIAL,
     PRE_HYPERGEOMETRIC,
     PRE_NONE,
+    RewriteRule,
     SimplifyConfig,
     SymbolicOutcome,
     expand,
@@ -374,6 +377,130 @@ def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
         assert len(set(expansions[-1])) == len(expansions[-1]), rid
     assert sum(map(len, calls)) > 90
     assert any(len(e) == 2 for e in expansions)
+
+
+# --- rule index ---
+
+def _linear_apply_rules(expr, rules, domains=(), budget=10_000):
+    """``apply_rules`` as it was before rules were indexed by head: every
+    rule is tried at every node, in table order."""
+    steps = 0
+
+    def try_rules(node):
+        nonlocal steps
+        for rule in rules:
+            binding = {}
+            if not symbolic.match_pattern(rule.pattern, node, binding):
+                continue
+            if all(binding.get(name) is not None and symbolic._condition_holds(
+                    kind, value, binding[name], domains)
+                   for name, kind, value in rule.conditions):
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded("rewrite budget exhausted")
+                return ir.substitute(rule.replacement, binding)
+        return None
+
+    def rewrite(node):
+        rebuilt = ir.map_children(node, rewrite)
+        for _ in range(32):
+            replaced = try_rules(rebuilt)
+            if replaced is None:
+                return rebuilt
+            rebuilt = ir.map_children(replaced, rewrite)
+        return rebuilt
+
+    return rewrite(expr), steps
+
+
+def _rewritten(apply, expr, rules, domains=(), budget=10_000):
+    try:
+        return apply(expr, rules, domains, budget)
+    except BudgetExceeded:
+        return "budget exceeded"
+
+
+# A bare placeholder that takes 100 off anything provably above 100, a
+# rule for one number it shadows, and two rules with one head.
+_WILDCARD = RewriteRule(Var("var7"), ir.add(Var("var7"), ir.num(-100)),
+                        (("var7", "gt", Fraction(100)),), "var7 -> var7 - 100 ? var7 > 100")
+_NUMBER = RewriteRule(ir.num(250), ir.num(7), (), "250 -> 7")
+_FIRST = RewriteRule(FunctionApp("foo", (), (Var("var1"),)), Var("first"), (),
+                     "foo(var1) -> first")
+_SECOND = RewriteRule(FunctionApp("foo", (), (Var("var1"),)), Var("second"), (),
+                      "foo(var1) -> second")
+
+
+def test_rule_index_keeps_first_match_wins():
+    foo = FunctionApp("foo", (), (ir.num(250),))
+    assert symbolic.apply_rules(foo, (_FIRST, _SECOND)) == (Var("first"), 1)
+    assert symbolic.apply_rules(foo, (_SECOND, _FIRST)) == (Var("second"), 1)
+    # The bare placeholder comes first and wins: 250 -> 150 -> 50.
+    assert symbolic.apply_rules(foo, (_WILDCARD, _NUMBER, _FIRST)) == (Var("first"), 3)
+    assert symbolic.apply_rules(ir.num(250), (_WILDCARD, _NUMBER)) == (ir.num(50), 2)
+    assert symbolic.apply_rules(ir.num(250), (_NUMBER, _WILDCARD)) == (ir.num(7), 1)
+    # A head no pattern has still meets the bare placeholder.
+    big = ir.add(Const(ir.PI), ir.num(200))
+    assert symbolic.apply_rules(big, (_FIRST, _WILDCARD)) == (Const(ir.PI), 2)
+    assert symbolic.apply_rules(big, (_FIRST,)) == (big, 0)
+
+
+def _rule_orders(tables):
+    extra = (_WILDCARD, _NUMBER, _FIRST, _SECOND)
+    return [
+        tables.rewrite_rules + extra,
+        extra[::-1] + tables.rewrite_rules,
+        (_NUMBER, _SECOND) + tables.rewrite_rules[::-1] + (_FIRST, _WILDCARD),
+    ]
+
+
+def test_rule_index_matches_linear_scan_on_corpus_candidates(tables, mini_corpus,
+                                                             monkeypatch):
+    seen = []
+    real_apply = symbolic.apply_rules
+
+    def recording_apply(expr, rules, domains=(), budget=10_000):
+        seen.append((expr, tuple(domains), budget))
+        return real_apply(expr, rules, domains, budget)
+
+    monkeypatch.setattr(symbolic, "apply_rules", recording_apply)
+    config = default_config(tables)
+    for _, rel, domains in _corpus_equations(tables, mini_corpus):
+        verify_symbolic(rel, domains, config)
+    monkeypatch.undo()
+    assert len(seen) > 90
+    for rules in _rule_orders(tables):
+        for expr, domains, budget in seen:
+            assert _rewritten(symbolic.apply_rules, expr, rules, domains, budget) == \
+                _rewritten(_linear_apply_rules, expr, rules, domains, budget), expr
+
+
+_rule_leaves = st.one_of(
+    st.sampled_from((-1, 2, 150, 250)).map(ir.num),
+    st.sampled_from((ir.EULER_E, ir.PI)).map(Const),
+    st.sampled_from(("x", "y")).map(Var),
+)
+
+
+def _rule_trees(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda t: ir.add(*t)),
+        st.lists(children, min_size=1, max_size=3).map(lambda f: ir.mul(*f)),
+        st.builds(ir.power, children, st.sampled_from((ir.num(2), ir.HALF))),
+        st.builds(ir.power, st.just(Const(ir.EULER_E)), children),
+        st.builds(lambda func, arg: FunctionApp(func, (), (arg,)),
+                  st.sampled_from(("sin", "cos", "tan", "sec", "sinh", "cosh",
+                                   "ln", "foo", "gamma")),
+                  children),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_rule_leaves, _rule_trees, max_leaves=10))
+def test_rule_index_matches_linear_scan_on_random_trees(tables, expr):
+    for rules in _rule_orders(tables):
+        assert _rewritten(symbolic.apply_rules, expr, rules) == \
+            _rewritten(_linear_apply_rules, expr, rules)
 
 
 # --- rewrite rule self-validation ---

@@ -11,6 +11,15 @@ part (the recurrence Gamma(z+1) = z Gamma(z) run to a fixpoint); and
 gamma pairs with arguments summing to an integer contract through the
 reflection formula.  An expression equals zero exactly when its
 normalized numerator is the empty polynomial.
+
+Rational coefficients and exponents are stored as ``int`` when integral
+and as ``Fraction`` otherwise, so the common integer case skips
+``Fraction`` arithmetic.  `_q` converts where a value comes in from a
+``Number`` (`const_poly`, `_as_exp_key`) and where ``Fraction``
+arithmetic can make one integral (`_exp_add`, and `_poly_add_into`,
+which every product passes through).  The two kinds hash and compare
+equal, so monomial keys merge either way.  ``Number.value`` is always a
+``Fraction``: `emit` builds ``Number``, which converts.
 """
 
 from __future__ import annotations
@@ -35,12 +44,20 @@ from .ir import (
     Var,
 )
 
-ExpKey = Union[Fraction, Expr]
+# A rational coefficient or exponent: int when integral, Fraction
+# otherwise.  `Number.value` is always a Fraction.
+Rat = Union[int, Fraction]
+_RAT = (int, Fraction)
+ExpKey = Union[Rat, Expr]  # a rational exponent (Rat) or a symbolic one
 Mono = tuple[tuple[Expr, ExpKey], ...]
-Poly = dict[Mono, Fraction]
+Poly = dict[Mono, Rat]  # nonzero Rat coefficients
 
 EMPTY_MONO: Mono = ()
-_FRACTION_ZERO = Fraction(0)
+
+
+def _q(x: Rat) -> Rat:
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
 ODD_FUNCTIONS = frozenset({
     "sin", "tan", "csc", "cot", "sinh", "tanh", "csch", "coth",
@@ -75,10 +92,12 @@ class NormContext:
 @dataclass(frozen=True, slots=True)
 class RatForm:
     """A normalized fraction.  `_freeze` is the only place one is built,
-    so ``num`` and ``den`` are always in `_mono_sort_key` order."""
+    so ``num`` and ``den`` are always in `_mono_sort_key` order.  Their
+    coefficients and rational exponents are `Rat`: int when integral,
+    Fraction otherwise."""
 
-    num: tuple[tuple[Mono, Fraction], ...]
-    den: tuple[tuple[Mono, Fraction], ...]
+    num: tuple[tuple[Mono, Rat], ...]
+    den: tuple[tuple[Mono, Rat], ...]
 
 
 def _freeze(num: Poly, den: Poly) -> RatForm:
@@ -88,49 +107,49 @@ def _freeze(num: Poly, den: Poly) -> RatForm:
     )
 
 
-ONE_POLY: Poly = {EMPTY_MONO: Fraction(1)}
+ONE_POLY: Poly = {EMPTY_MONO: 1}
 _ONE_TERMS = tuple(ONE_POLY.items())
 
 
-def const_poly(value: Fraction) -> Poly:
-    return {} if value == 0 else {EMPTY_MONO: Fraction(value)}
+def const_poly(value: Rat) -> Poly:
+    return {} if value == 0 else {EMPTY_MONO: _q(value)}
 
 
 # --- monomial and polynomial arithmetic ---
 
 def _exp_sortable(exp: ExpKey):
-    if isinstance(exp, Fraction):
+    if isinstance(exp, _RAT):
         return (0, -exp)  # larger powers sort first within equal atoms
     return (1,) + ir.sort_key(exp)
 
 
 def _mono_sort_key(mono: Mono):
-    degree = sum((e for _, e in mono if isinstance(e, Fraction)), Fraction(0))
+    degree = sum(e for _, e in mono if isinstance(e, _RAT))
     return (-degree, tuple((ir.sort_key(a), _exp_sortable(e)) for a, e in mono))
 
 
 def _exp_to_expr(exp: ExpKey) -> Expr:
-    return Number(exp) if isinstance(exp, Fraction) else exp
+    return Number(exp) if isinstance(exp, _RAT) else exp
 
 
 def _exp_add(a: ExpKey, b: ExpKey, ctx: NormContext) -> ExpKey:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
+    if isinstance(a, _RAT) and isinstance(b, _RAT):
+        return _q(a + b)
     total = norm(ir.add(_exp_to_expr(a), _exp_to_expr(b)), ctx)
     return _as_exp_key(emit(total))
 
 
 def _exp_negate(exp: ExpKey, ctx: NormContext) -> ExpKey:
-    if isinstance(exp, Fraction):
+    if isinstance(exp, _RAT):
         return -exp
     return _as_exp_key(emit(norm(ir.neg_term(exp), ctx)))
 
 
 def _as_exp_key(expr: Expr) -> ExpKey:
-    return expr.value if isinstance(expr, Number) else expr
+    return _q(expr.value) if isinstance(expr, Number) else expr
 
 
-def _exact_rational_pow(base: Fraction, exp: Fraction) -> Optional[Fraction]:
+def _exact_rational_pow(base: Rat, exp: Rat) -> Optional[Rat]:
     """base**exp when the result is exactly rational and not too large
     to fold (`ir.exact_power_too_large`), else None."""
     if ir.exact_power_too_large(base, exp):
@@ -162,7 +181,7 @@ def _exact_root(n: int, k: int) -> Optional[int]:
         x = y
 
 
-def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) -> Poly:
+def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly:
     """Fold special atoms of a raw monomial and expand Pythagorean powers."""
     ctx.tick()
     if coef == 0:
@@ -170,10 +189,13 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) ->
     factors: list[Poly] = []
     clean: dict[Expr, ExpKey] = {}
     for atom, exp in entries.items():
-        if isinstance(exp, Fraction) and exp == 0:
+        if not isinstance(exp, _RAT):
+            clean[atom] = exp
+            continue
+        if exp == 0:
             continue
         if isinstance(atom, Const) and atom.name == ir.IMAGINARY_UNIT and \
-                isinstance(exp, Fraction) and exp.denominator == 1:
+                exp.denominator == 1:
             r = int(exp) % 4
             if r == 0:
                 continue
@@ -182,23 +204,21 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) ->
                 continue
             if r == 3:
                 coef = -coef
-            clean[atom] = Fraction(1)
+            clean[atom] = 1
             continue
-        if isinstance(atom, Number) and isinstance(exp, Fraction):
+        if isinstance(atom, Number):
             folded = _exact_rational_pow(atom.value, exp)
             if folded is not None:
                 coef *= folded
                 continue
-        if isinstance(atom, (Add, Mul)) and isinstance(exp, Fraction) and \
-                exp.denominator == 1:
+        if isinstance(atom, (Add, Mul)) and exp.denominator == 1:
             # A compound base whose exponents merged to an integer
             # re-expands into a genuine polynomial when that is exact.
             r = _rat_pow(_norm(atom, ctx), int(exp), ctx)
             if r.den == ONE_POLY:
                 factors.append(r.num)
                 continue
-        if isinstance(atom, Pow) and isinstance(exp, Fraction) and \
-                exp.denominator == 1 and exp != 1:
+        if isinstance(atom, Pow) and exp.denominator == 1 and exp != 1:
             # (w^e)^k = w^(e k) holds for integer k on principal branches.
             combined = _norm(
                 Pow(atom.base, ir.mul(Number(exp), atom.exponent)), ctx
@@ -207,24 +227,17 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) ->
                 factors.append(combined.num)
                 continue
         if isinstance(atom, FunctionApp) and atom.func in ("sin", "sinh") and \
-                isinstance(exp, Fraction) and exp.denominator == 1 and exp >= 2:
+                exp.denominator == 1 and exp >= 2:
             k, r = divmod(int(exp), 2)
             u = atom.args[0]
             cos_atom = FunctionApp("cos" if atom.func == "sin" else "cosh", (), (u,))
-            square: Poly = {
-                EMPTY_MONO: Fraction(1) if atom.func == "sin" else Fraction(-1),
-                ((cos_atom, Fraction(2)),):
-                    Fraction(-1) if atom.func == "sin" else Fraction(1),
-            }
+            sign = 1 if atom.func == "sin" else -1
+            square: Poly = {EMPTY_MONO: sign, ((cos_atom, 2),): -sign}
             factors.append(poly_pow(square, k, ctx))
             if r:
-                clean[atom] = Fraction(1)
+                clean[atom] = 1
             continue
-        if atom in clean:
-            clean[atom] = _exp_add(clean[atom], exp, ctx)
-        else:
-            clean[atom] = exp
-    clean = {a: e for a, e in clean.items() if not (isinstance(e, Fraction) and e == 0)}
+        clean[atom] = exp
     if coef == 0:
         return {}
     mono = tuple(sorted(clean.items(), key=lambda kv: ir.sort_key(kv[0])))
@@ -234,7 +247,7 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Fraction, ctx: NormContext) ->
     return result
 
 
-def mono_mul(m1: Mono, m2: Mono, coef: Fraction, ctx: NormContext) -> Poly:
+def mono_mul(m1: Mono, m2: Mono, coef: Rat, ctx: NormContext) -> Poly:
     entries: dict[Expr, ExpKey] = {}
     for atom, exp in m1 + m2:
         if atom in entries:
@@ -246,11 +259,11 @@ def mono_mul(m1: Mono, m2: Mono, coef: Fraction, ctx: NormContext) -> Poly:
 
 def _poly_add_into(out: Poly, q: Poly) -> None:
     for mono, c in q.items():
-        nc = out.get(mono, _FRACTION_ZERO) + c
+        nc = out.get(mono, 0) + c
         if nc == 0:
             out.pop(mono, None)
         else:
-            out[mono] = nc
+            out[mono] = _q(nc)
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -298,7 +311,7 @@ class _Rat:
     den: Poly
 
 
-def _rat_const(value: Fraction) -> _Rat:
+def _rat_const(value: Rat) -> _Rat:
     return _Rat(const_poly(value), dict(ONE_POLY))
 
 
@@ -331,10 +344,10 @@ def _rat_pow(a: _Rat, n: int, ctx: NormContext) -> _Rat:
     return _Rat(poly_pow(a.num, n, ctx), poly_pow(a.den, n, ctx))
 
 
-def _atom_rat(atom: Expr, exp: ExpKey = Fraction(1)) -> _Rat:
-    if isinstance(exp, Fraction) and exp == 0:
-        return _rat_const(Fraction(1))
-    return _Rat({((atom, exp),): Fraction(1)}, dict(ONE_POLY))
+def _atom_rat(atom: Expr, exp: ExpKey = 1) -> _Rat:
+    if isinstance(exp, _RAT) and exp == 0:
+        return _rat_const(1)
+    return _Rat({((atom, exp),): 1}, dict(ONE_POLY))
 
 
 # --- normalization ---
@@ -355,17 +368,17 @@ def _norm(expr: Expr, ctx: NormContext) -> _Rat:
     if isinstance(expr, Var):
         return _atom_rat(expr)
     if isinstance(expr, Add):
-        total = _rat_const(Fraction(0))
+        total = _rat_const(0)
         for t in expr.terms:
             total = _rat_add(total, _norm(t, ctx), ctx)
         return total
     if isinstance(expr, Mul):
-        prod = _rat_const(Fraction(1))
+        prod = _rat_const(1)
         for f in expr.factors:
             prod = _rat_mul(prod, _norm(f, ctx), ctx)
         return prod
     if isinstance(expr, Neg):
-        return _rat_mul(_rat_const(Fraction(-1)), _norm(expr.operand, ctx), ctx)
+        return _rat_mul(_rat_const(-1), _norm(expr.operand, ctx), ctx)
     if isinstance(expr, Pow):
         return _norm_pow(expr, ctx)
     if isinstance(expr, FunctionApp):
@@ -387,13 +400,13 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
     exp_key = _as_exp_key(exp_expr)
     if not base_rat.num:
         if isinstance(exp_expr, Number) and exp_expr.value > 0:
-            return _rat_const(Fraction(0))
+            return _rat_const(0)
         raise _ZeroDenominator("zero base with a non-positive exponent")
     base_expr = emit(_freeze(base_rat.num, base_rat.den))
     if base_expr == ir.ONE:
-        return _rat_const(Fraction(1))
+        return _rat_const(1)
     if isinstance(base_expr, Number):
-        if isinstance(exp_key, Fraction):
+        if isinstance(exp_key, _RAT):
             folded = _exact_rational_pow(base_expr.value, exp_key)
             if folded is not None:
                 return _rat_const(folded)
@@ -405,11 +418,11 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
         if coef > 0:
             # (c * x * y)^s = c^s x^s y^s is branch-safe for positive
             # rational c and splits each unit-exponent atom.
-            out = _rat_const(Fraction(1))
+            out = _rat_const(1)
             if coef != 1:
                 out = _rat_mul(out, _norm_pow(Pow(Number(coef), exp_expr), ctx), ctx)
             for atom, aexp in m:
-                if isinstance(aexp, Fraction) and aexp == 1:
+                if isinstance(aexp, _RAT) and aexp == 1:
                     out = _rat_mul(out, _atom_rat(atom, exp_key), ctx)
                 else:
                     # Nested non-unit power stays whole (branch safety).
@@ -456,7 +469,7 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
         n_c = canon(n, ctx)
         if isinstance(n_c, Number) and n_c.value.denominator == 1 and \
                 0 <= n_c.value <= _MAX_HYPER_UNROLL * 2:
-            prod = _rat_const(Fraction(1))
+            prod = _rat_const(1)
             for k in range(int(n_c.value)):
                 prod = _rat_mul(prod, _norm(ir.add(a, ir.num(k)), ctx), ctx)
             return prod
@@ -476,7 +489,7 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
         if m == ir.ZERO:
             return _norm(ir.div(Const(ir.PI), ir.num(2)), ctx)
         if func == "elliptic_e" and m == ir.ONE:
-            return _rat_const(Fraction(1))
+            return _rat_const(1)
         return _atom_rat(FunctionApp(func, (), (m,)))
     params = tuple(canon(p, ctx) for p in expr.params)
     args = tuple(canon(a, ctx) for a in expr.args)
@@ -485,7 +498,7 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
         if _leading_negative(arg_rat):
             flipped = emit(_freeze(*_neg_parts(arg_rat, ctx)))
             return _rat_mul(
-                _rat_const(Fraction(-1)),
+                _rat_const(-1),
                 _atom_rat(FunctionApp(func, (), (flipped,))),
                 ctx,
             )
@@ -498,7 +511,7 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
 
 
 def _neg_parts(rat: _Rat, ctx: NormContext) -> tuple[Poly, Poly]:
-    return poly_mul(rat.num, const_poly(Fraction(-1)), ctx), rat.den
+    return poly_mul(rat.num, const_poly(-1), ctx), rat.den
 
 
 def _leading_negative(rat: _Rat) -> bool:
@@ -508,8 +521,8 @@ def _leading_negative(rat: _Rat) -> bool:
     return lead[1] < 0
 
 
-def _poly_const_part(p: Poly) -> Fraction:
-    return p.get(EMPTY_MONO, Fraction(0))
+def _poly_const_part(p: Poly) -> Rat:
+    return p.get(EMPTY_MONO, 0)
 
 
 def _norm_gamma(arg: Expr, ctx: NormContext) -> _Rat:
@@ -524,36 +537,38 @@ def _norm_gamma(arg: Expr, ctx: NormContext) -> _Rat:
     shift = _floor_fraction(c)
     if shift == 0 or abs(shift) > _MAX_GAMMA_SHIFT:
         return _atom_rat(FunctionApp("gamma", (), (emit(_freeze(poly, ONE_POLY)),)))
-    rep_poly = poly_add(poly, const_poly(Fraction(-shift)))
+    rep_poly = poly_add(poly, const_poly(-shift))
     atom = FunctionApp("gamma", (), (emit(_freeze(rep_poly, ONE_POLY)),))
     result = _atom_rat(atom)
     if shift > 0:
         # Gamma(u + k) = (u+k-1)...(u) Gamma(u)
         for j in range(1, shift + 1):
-            factor = _Rat(poly_add(poly, const_poly(Fraction(-j))), dict(ONE_POLY))
+            factor = _Rat(poly_add(poly, const_poly(-j)), dict(ONE_POLY))
             result = _rat_mul(result, factor, ctx)
     else:
         # Gamma(u - k) = Gamma(u) / ((u-k)(u-k+1)...(u-1))
         for j in range(0, -shift):
-            factor = _Rat(poly_add(poly, const_poly(Fraction(j))), dict(ONE_POLY))
+            factor = _Rat(poly_add(poly, const_poly(j)), dict(ONE_POLY))
             result = _rat_mul(result, _rat_inv(factor, ctx), ctx)
     return result
 
 
-def _floor_fraction(c: Fraction) -> int:
+def _floor_fraction(c: Rat) -> int:
     return c.numerator // c.denominator
 
 
-def _gamma_constant(c: Fraction, ctx: NormContext) -> _Rat:
-    if c.denominator == 1:
-        if c >= 1:
-            value = Fraction(1)
-            for k in range(2, int(c)):
-                value *= k
-            return _rat_const(value)
-        # Pole; keep the atom so evaluation reports it.
-        return _atom_rat(FunctionApp("gamma", (), (Number(c),)))
+def _gamma_constant(c: Rat, ctx: NormContext) -> _Rat:
     shift = _floor_fraction(c)
+    # The folded value is a product of |shift| factors, none larger than
+    # c in numerator or denominator, so it is bounded like c**shift.
+    if (c.denominator == 1 and c < 1) or ir.exact_power_too_large(c, shift):
+        # A pole (kept so evaluation reports it), or too large to fold.
+        return _atom_rat(FunctionApp("gamma", (), (Number(c),)))
+    if c.denominator == 1:
+        value = 1
+        for k in range(2, int(c)):
+            value *= k
+        return _rat_const(value)
     rep = c - shift
     result: _Rat
     if rep == Fraction(1, 2):
@@ -561,12 +576,12 @@ def _gamma_constant(c: Fraction, ctx: NormContext) -> _Rat:
     else:
         result = _atom_rat(FunctionApp("gamma", (), (Number(rep),)))
     if shift > 0:
-        value = Fraction(1)
+        value = 1
         for j in range(1, shift + 1):
             value *= c - j
         return _rat_mul(result, _rat_const(value), ctx)
     if shift < 0:
-        value = Fraction(1)
+        value = 1
         for j in range(0, -shift):
             value *= c + j
         return _rat_mul(result, _rat_inv(_rat_const(value), ctx), ctx)
@@ -581,9 +596,9 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
     z = canon(expr.args[p + q], ctx)
     # Upper-parameter zero terminates the series at its first term.
     if any(a == ir.ZERO for a in numerator):
-        return _rat_const(Fraction(1))
+        return _rat_const(1)
     if z == ir.ZERO:
-        return _rat_const(Fraction(1))
+        return _rat_const(1)
     # Matching parameters cancel.
     num_left: list[Expr] = []
     den_left = list(denominator)
@@ -636,7 +651,7 @@ def _norm_bigop(expr: BigOp, ctx: NormContext) -> _Rat:
             hi.value.denominator == 1:
         span = int(hi.value) - int(lo.value) + 1
         if 0 <= span <= _MAX_BIGOP_UNROLL:
-            acc = _rat_const(Fraction(0) if expr.kind == ir.OP_SUM else Fraction(1))
+            acc = _rat_const(0 if expr.kind == ir.OP_SUM else 1)
             for k in range(int(lo.value), int(hi.value) + 1):
                 piece = _norm(
                     ir.substitute(expr.body, {expr.var: ir.num(k)}), ctx
@@ -656,7 +671,7 @@ def _gamma_pairs(mono: Mono, ctx: NormContext) -> Optional[tuple[int, int, Expr,
     gammas = [
         (i, atom.args[0]) for i, (atom, exp) in enumerate(mono)
         if isinstance(atom, FunctionApp) and atom.func == "gamma"
-        and isinstance(exp, Fraction) and exp.denominator == 1 and exp >= 1
+        and isinstance(exp, _RAT) and exp.denominator == 1 and exp >= 1
     ]
     for x in range(len(gammas)):
         for y in range(x + 1, len(gammas)):
@@ -688,7 +703,7 @@ def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
         rest = []
         for k, (atom, exp) in enumerate(mono):
             if k in (i, j):
-                if isinstance(exp, Fraction) and exp > 1:
+                if isinstance(exp, _RAT) and exp > 1:
                     rest.append((atom, exp - 1))
             else:
                 rest.append((atom, exp))
@@ -701,7 +716,7 @@ def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
             ctx,
         )
         if m == 0:
-            replacement = _rat_mul(replacement, _rat_const(Fraction(-1)), ctx)
+            replacement = _rat_mul(replacement, _rat_const(-1), ctx)
             replacement = _rat_mul(replacement, _rat_inv(_norm(u, ctx), ctx), ctx)
         piece = _rat_mul(_Rat({tuple(rest): coef}, dict(ONE_POLY)), replacement, ctx)
         total = _rat_add(total, piece, ctx)
@@ -731,7 +746,7 @@ def emit(rf: RatForm) -> Expr:
     return ir.mul(num, ir.power(den, ir.MINUS_ONE))
 
 
-def _emit_poly(items: tuple[tuple[Mono, Fraction], ...]) -> Expr:
+def _emit_poly(items: tuple[tuple[Mono, Rat], ...]) -> Expr:
     """Emit the frozen items of a polynomial in their stored order."""
     if not items:
         return ir.ZERO
@@ -759,8 +774,8 @@ def is_one_form(rf: RatForm) -> bool:
 def constant_value(rf: RatForm) -> Optional[Fraction]:
     num, den = dict(rf.num), dict(rf.den)
     if set(num) <= {EMPTY_MONO} and set(den) <= {EMPTY_MONO}:
-        n = num.get(EMPTY_MONO, Fraction(0))
-        d = den.get(EMPTY_MONO, Fraction(0))
+        n = num.get(EMPTY_MONO, 0)
+        d = den.get(EMPTY_MONO, 0)
         if d != 0:
-            return n / d
+            return Fraction(n) / d
     return None

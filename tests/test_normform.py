@@ -1,13 +1,16 @@
 """The rational normal form's polynomial kernel and emission, checked
-against the loops they replaced, and its bounded exact powers."""
+against the loops they replaced, its bounded exact powers and gamma
+values, and its int-when-integral storage."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathverify import ir
-from mathverify.ir import Const, FunctionApp, Var
+from mathverify.errors import SymbolicError
+from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
     ONE_POLY,
     NormContext,
@@ -15,12 +18,15 @@ from mathverify.normform import (
     _exact_root,
     _freeze,
     _mono_sort_key,
+    constant_value,
     emit,
     mono_mul,
     norm,
     poly_add,
     poly_mul,
 )
+from mathverify.parser import parse, tokenize
+from mathverify.translate import to_relation
 
 _X, _Y = Var("x"), Var("y")
 # sin^2 expands through the Pythagorean relation inside mono_mul, so a
@@ -66,8 +72,8 @@ def _sorting_emit(rf):
             if coef != 1 or not mono:
                 factors.append(ir.Number(coef))
             for atom, exp in mono:
-                factors.append(ir.power(atom, ir.Number(exp) if isinstance(exp, Fraction)
-                                        else exp))
+                factors.append(ir.power(atom, ir.Number(exp)
+                                        if isinstance(exp, (int, Fraction)) else exp))
             terms.append(ir.mul(*factors) if len(factors) != 1 else factors[0])
         return ir.add(*terms) if len(terms) != 1 else terms[0]
 
@@ -119,3 +125,70 @@ def test_exact_root(m, k):
     # (m+1)^k - m^k > 1, so m^k + 1 is never a k-th power.
     assert _exact_root(m ** k + 1, k) is None
     assert _exact_root(0, k) == 0
+
+
+def _gamma(value):
+    return FunctionApp("gamma", (), (Number(Fraction(value)),))
+
+
+def test_gamma_constants_fold_only_within_the_power_budget():
+    # (c-1)! and the shifted products are bounded like c**floor(c), the
+    # same budget as exact powers, and checked before any multiplication.
+    assert emit(norm(_gamma(400))) == ir.num(math.factorial(399))
+    assert emit(norm(_gamma(Fraction(7, 2)))) == ir.mul(
+        ir.num(Fraction(15, 8)), ir.power(Const(ir.PI), ir.HALF))
+    for big in (3000, 10 ** 6, Fraction(10 ** 7, 3), Fraction(-(10 ** 7), 3)):
+        assert emit(norm(_gamma(big))) == _gamma(big)
+    # Poles stay atoms whatever their size.
+    assert emit(norm(_gamma(-3))) == _gamma(-3)
+
+
+def _check_storage(rf):
+    """Integral coefficients and exponents are int, the others Fraction."""
+    for mono, coef in rf.num + rf.den:
+        for value in (coef, *(e for _, e in mono if not isinstance(e, ir.Expr))):
+            assert type(value) is (int if value.denominator == 1 else Fraction), value
+
+
+_HALF_X = ir.Mul((ir.HALF, _X))
+# Fraction arithmetic inside the kernel that yields integral values: a
+# coefficient sum, a coefficient product, an exponent sum, the inverse of
+# a monomial, and a folded rational power.
+_KERNEL_CASES = (
+    ir.Add((_HALF_X, _HALF_X)),
+    ir.Mul((ir.Add((_HALF_X, ir.ONE)), ir.Mul((ir.num(2), _Y)))),
+    ir.Mul((ir.Pow(_X, ir.HALF), ir.Pow(_X, ir.HALF))),
+    ir.Pow(_HALF_X, ir.MINUS_ONE),
+    ir.Mul((ir.Pow(ir.num(2), ir.HALF), ir.Pow(ir.num(2), ir.HALF), _Y)),
+)
+
+
+def test_integral_values_are_stored_as_int(tables, mini_corpus):
+    # Every side of every translated mini-corpus relation, their
+    # differences and quotients, and the kernel cases: int when integral,
+    # Fraction otherwise, Number.value always a Fraction, constant_value
+    # never a float.
+    exprs = list(_KERNEL_CASES)
+    for record in mini_corpus:
+        try:
+            rel = to_relation(parse(tokenize(record.latex), tables.macro_table),
+                              tables.translation_table)
+        except Exception:
+            continue
+        exprs += [rel.lhs, rel.rhs, ir.sub(rel.lhs, rel.rhs), ir.div(rel.lhs, rel.rhs)]
+    forms = constants = 0
+    for expr in exprs:
+        try:
+            rf = norm(expr)
+        except SymbolicError:
+            continue
+        forms += 1
+        _check_storage(rf)
+        for node in ir.walk(emit(rf)):
+            if isinstance(node, Number):
+                assert type(node.value) is Fraction
+        value = constant_value(rf)
+        if value is not None:
+            constants += 1
+            assert type(value) is Fraction
+    assert forms > 100 and constants > 10

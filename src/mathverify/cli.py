@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .chapters import CHAPTER_CODES
 from .emit import DIALECT_GENERIC, DIALECT_MAPLE, emit_relation
-from .errors import MathVerifyError, NoDialectMapping, TranslationError
+from .errors import ConfigParseError, MathVerifyError, NoDialectMapping, TranslationError
 from .extraction import (
     ChapterSource,
     load_substitutions_file,
@@ -21,12 +22,14 @@ from .pipeline import (
     FORMAT_CSV,
     FORMAT_STRUCTURED,
     FORMAT_TEXT,
+    SETTINGS,
     PipelineOptions,
     Tables,
     list_flagged,
     load_config,
     render_report,
     run_pipeline,
+    with_setting,
 )
 from .constraints import interpret_constraints
 from .parser import parse, tokenize
@@ -42,26 +45,21 @@ def _common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rewrite-rules", help="rewrite rule table file")
     sub.add_argument("--chapter", help="restrict to one 2-letter chapter code")
     sub.add_argument("--jobs", type=int, help="parallel verification workers")
-    sub.add_argument("--timeout", type=float, help="per-formula timeout in seconds")
-
-
-# Command-line flag -> the PipelineOptions field it overrides when given.
-_FLAG_FIELDS = {
-    "blueprints": "blueprints",
-    "macro_table": "macro_table",
-    "translation_table": "translation_table",
-    "rewrite_rules": "rewrite_rules",
-    "jobs": "jobs",
-    "timeout": "timeout_seconds",
-}
+    sub.add_argument("--timeout", type=float, dest="timeout_seconds",
+                     help="per-formula timeout in seconds")
 
 
 def _options_from(args: argparse.Namespace) -> PipelineOptions:
+    """The config file's options with every given flag whose destination
+    is a setting key applied on top."""
     options = load_config(args.config) if args.config else PipelineOptions()
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value:
-            setattr(options, field_name, value)
+    for key in SETTINGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            try:
+                options = with_setting(options, key, value)
+            except ValueError as exc:
+                raise ConfigParseError(f"command line: {key}: {exc}") from exc
     return options
 
 
@@ -112,11 +110,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    options = _options_from(args)
-    if args.mode == "symbolic":
-        options.run_numeric = False
-    elif args.mode == "numeric":
-        options.run_symbolic = False
+    options = replace(_options_from(args), run_symbolic=args.stages != "numeric",
+                      run_numeric=args.stages != "symbolic")
     report = run_pipeline(_require_corpus(args), options, chapter=args.chapter)
     sys.stdout.buffer.write(render_report(report, FORMAT_STRUCTURED))
     return 0
@@ -186,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify records, print outcomes")
     _common_options(p_verify)
-    p_verify.add_argument("--mode", choices=("symbolic", "numeric", "both"),
+    # The stages to run; not the ``mode`` setting (difference/quotient/both).
+    p_verify.add_argument("--mode", dest="stages", choices=("symbolic", "numeric", "both"),
                           default="both")
     p_verify.set_defaults(fn=cmd_verify)
 

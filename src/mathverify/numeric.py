@@ -75,12 +75,15 @@ class NumericConfig:
     comparison_mode: str = MODE_ABSOLUTE
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        # Written as ``not > 0`` so that NaN is rejected too.
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
         if self.precision_digits < 1:
             raise ValueError("precision must be at least one digit")
-        if self.timeout_seconds <= 0:
+        if not self.timeout_seconds > 0:
             raise ValueError("timeout must be positive")
+        if self.comparison_mode not in (MODE_ABSOLUTE, MODE_RELATIVE, MODE_QUOTIENT):
+            raise ValueError(f"unknown comparison mode {self.comparison_mode!r}")
 
 
 class Deadline:

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import ir
 from .chapters import CHAPTERS
@@ -38,16 +38,13 @@ from .errors import (
 from .extraction import FormulaRecord, read_corpus, scan_second
 from .numeric import (
     CLASS_ABOVE_THRESHOLD,
-    CLASS_NO_VALID_VALUES,
     CLASS_VERIFIED,
     NumericConfig,
     verify_numeric,
 )
 from .parser import MacroTable, load_macro_table, parse, tokenize
 from .symbolic import (
-    ALL_PREPROCESSORS,
     CLASS_OTHER_NUMERIC,
-    MODE_BOTH,
     RewriteRule,
     SimplifyConfig,
     load_rewrite_rules,
@@ -67,30 +64,22 @@ def data_text(name: str) -> str:
 
 @dataclass
 class PipelineOptions:
+    """Table paths (None: the bundled table), the two stage configs, and
+    how to run them.  ``symbolic.rules`` is filled from the loaded tables
+    per record."""
     macro_table: Optional[str] = None
     translation_table: Optional[str] = None
     blueprints: Optional[str] = None
     rewrite_rules: Optional[str] = None
-    mode: str = MODE_BOTH
-    preprocessors: tuple[str, ...] = ALL_PREPROCESSORS
-    rewrite_step_budget: int = 500_000
-    test_values: tuple = (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
-    threshold: float = 0.001
-    precision_digits: int = 10
-    timeout_seconds: float = 300.0
-    comparison_mode: str = "absolute"
+    symbolic: SimplifyConfig = field(default_factory=SimplifyConfig)
+    numeric: NumericConfig = field(default_factory=NumericConfig)
     jobs: int = 1
     run_symbolic: bool = True
     run_numeric: bool = True
 
-    def numeric_config(self) -> NumericConfig:
-        return NumericConfig(
-            test_values=tuple(self.test_values),
-            threshold=self.threshold,
-            precision_digits=self.precision_digits,
-            timeout_seconds=self.timeout_seconds,
-            comparison_mode=self.comparison_mode,
-        )
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 def _table_text(path: Optional[str], default: str) -> str:
@@ -155,14 +144,8 @@ def verify_record(record: FormulaRecord, tables: Tables,
         out["maple"] = None
     sym_verified = False
     if options.run_symbolic and rel.kind in (ir.REL_EQ, ir.REL_EQUIV):
-        sym_config = SimplifyConfig(
-            mode=options.mode,
-            preprocessors=options.preprocessors,
-            rewrite_step_budget=options.rewrite_step_budget,
-            assumptions=tuple(interp.domains),
-            rules=tables.rewrite_rules,
-        )
-        sym = verify_symbolic(rel, interp.domains, sym_config)
+        sym = verify_symbolic(rel, interp.domains,
+                              replace(options.symbolic, rules=tables.rewrite_rules))
         out["symbolic"] = {
             "classification": sym.classification,
             "value": None if sym.value is None else str(sym.value),
@@ -171,8 +154,7 @@ def verify_record(record: FormulaRecord, tables: Tables,
         }
         sym_verified = sym.verified
     if options.run_numeric and not sym_verified and rel.kind != ir.REL_TO:
-        num = verify_numeric(rel, interp.domains, interp.specials,
-                             options.numeric_config())
+        num = verify_numeric(rel, interp.domains, interp.specials, options.numeric)
         out["numeric"] = {
             "classification": num.classification,
             "detail": num.detail,
@@ -231,12 +213,6 @@ class PipelineReport:
     chapters: list[ChapterReport]
     outcomes: list[dict]
     totals: ChapterReport
-
-    def chapter(self, code: str) -> Optional[ChapterReport]:
-        for ch in self.chapters:
-            if ch.chapter_code == code:
-                return ch
-        return None
 
 
 def aggregate(outcomes: Sequence[dict]) -> PipelineReport:
@@ -308,8 +284,6 @@ def list_flagged(report: PipelineReport) -> list[FlaggedCase]:
                 f"worst discrepancy {num['worst']:.6g}", reason,
                 worst=num.get("worst"),
             ))
-        if num is not None and num["classification"] == CLASS_NO_VALID_VALUES:
-            pass  # counted in the failure breakdown, not flagged
         for text in out.get("unmatched_constraints", ()):
             constraint_flags.append(FlaggedCase(
                 out["id"], "constraint", text, REASON_INVALID_VALUES,
@@ -425,33 +399,42 @@ def _render_text(report: PipelineReport) -> bytes:
     return ("\n".join(out_lines) + "\n").encode("utf-8")
 
 
-# --- config file ---
+# --- settings: config file and command line ---
 
-def _config_keys(base: Path) -> dict[str, tuple[str, Callable[[str], object]]]:
-    """Config-file key -> (PipelineOptions field, value parser); path
-    values resolve relative to ``base``, the config file's directory."""
+def _items(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",")]
 
-    def path(value: str) -> str:
-        return value if Path(value).is_absolute() else str((base / value).resolve())
 
-    def items(value: str) -> list[str]:
-        return [v.strip() for v in value.split(",")]
+# Setting key -> (PipelineOptions section, field, parser of the config-file
+# text).  Section None is PipelineOptions itself; a Path value is a table
+# file, relative to the config file's directory.  The command-line flags
+# are parsed by argparse and carry the same keys as their destinations.
+SETTINGS = {
+    "mode": ("symbolic", "mode", str),
+    "preprocessors": ("symbolic", "preprocessors",
+                      lambda v: tuple(p for p in _items(v) if p)),
+    "rewrite_step_budget": ("symbolic", "rewrite_step_budget", int),
+    "test_values": ("numeric", "test_values", lambda v: tuple(map(Fraction, _items(v)))),
+    "threshold": ("numeric", "threshold", float),
+    "precision": ("numeric", "precision_digits", int),
+    "timeout_seconds": ("numeric", "timeout_seconds", float),
+    "comparison_mode": ("numeric", "comparison_mode", str),
+    "jobs": (None, "jobs", int),
+    "macro_table": (None, "macro_table", Path),
+    "translation_table": (None, "translation_table", Path),
+    "blueprints": (None, "blueprints", Path),
+    "rewrite_rules": (None, "rewrite_rules", Path),
+}
 
-    return {
-        "mode": ("mode", str),
-        "preprocessors": ("preprocessors", lambda v: tuple(p for p in items(v) if p)),
-        "rewrite_step_budget": ("rewrite_step_budget", int),
-        "test_values": ("test_values", lambda v: tuple(map(Fraction, items(v)))),
-        "threshold": ("threshold", float),
-        "precision": ("precision_digits", int),
-        "timeout_seconds": ("timeout_seconds", float),
-        "comparison_mode": ("comparison_mode", str),
-        "jobs": ("jobs", int),
-        "macro_table": ("macro_table", path),
-        "translation_table": ("translation_table", path),
-        "blueprints": ("blueprints", path),
-        "rewrite_rules": ("rewrite_rules", path),
-    }
+
+def with_setting(options: PipelineOptions, key: str, value: object) -> PipelineOptions:
+    """``options`` with setting ``key`` set to the parsed ``value``.  The
+    options and the changed stage config are rebuilt, so their checks run
+    here and a rejected value raises ``ValueError``."""
+    section, name, _ = SETTINGS[key]
+    if section is None:
+        return replace(options, **{name: value})
+    return replace(options, **{section: replace(getattr(options, section), **{name: value})})
 
 
 def load_config(path: Union[str, Path]) -> PipelineOptions:
@@ -459,7 +442,6 @@ def load_config(path: Union[str, Path]) -> PipelineOptions:
     path = Path(path)
     if not path.exists():
         raise MissingInputFile(str(path))
-    keys = _config_keys(path.parent)
     options = PipelineOptions()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -467,13 +449,15 @@ def load_config(path: Union[str, Path]) -> PipelineOptions:
             continue
         if "=" not in line:
             raise ConfigParseError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in keys:
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
             raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
-        field_name, parse_value = keys[key]
         try:
-            setattr(options, field_name, parse_value(value))
+            value = SETTINGS[key][2](text.strip())
+            if isinstance(value, Path):
+                value = str(value if value.is_absolute() else (path.parent / value).resolve())
+            options = with_setting(options, key, value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigParseError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigParseError(f"{path}:{lineno}: {key}: {exc}") from exc
     return options

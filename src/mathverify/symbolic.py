@@ -98,8 +98,12 @@ class SimplifyConfig:
     rules: tuple[RewriteRule, ...] = ()
 
     def __post_init__(self):
+        if self.mode not in (MODE_DIFFERENCE, MODE_QUOTIENT, MODE_BOTH):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.rewrite_step_budget <= 0:
             raise ValueError("rewrite step budget must be positive")
+        if not self.preprocessors:
+            raise ValueError("no preprocessor given")
         for p in self.preprocessors:
             if p not in ALL_PREPROCESSORS:
                 raise ValueError(f"unknown preprocessor {p!r}")

@@ -267,9 +267,9 @@ def test_load_config(tmp_path):
         "jobs = 2\n"
     )
     options = load_config(cfg)
-    assert options.preprocessors == ("none", "exponential")
+    assert options.symbolic.preprocessors == ("none", "exponential")
     assert options.jobs == 2
-    assert options.numeric_config().threshold == 0.001
+    assert options.numeric.threshold == 0.001
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -277,6 +277,57 @@ def test_load_config_rejects_unknown_key(tmp_path):
     cfg.write_text("wibble = 3\n")
     with pytest.raises(ConfigParseError):
         load_config(cfg)
+
+
+@pytest.mark.parametrize("setting", [
+    "threshold = 0",
+    "threshold = nan",
+    "preprocessors = bogus",
+    "preprocessors =",
+    "mode = bogus",
+    "comparison_mode = nonsense",
+    "jobs = 0",
+    "precision = 0",
+    "rewrite_step_budget = 0",
+    "timeout_seconds = 0",
+])
+def test_bad_config_value_is_rejected_at_load(tmp_path, setting, capsys):
+    from mathverify.cli import main
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# settings\n{setting}\n")
+    key = setting.split("=")[0].strip()
+    with pytest.raises(ConfigParseError, match=f"bad.cfg:2: {key}: "):
+        load_config(cfg)
+    # The command line stops with an error before any record runs.
+    assert main(["report", "--corpus", MINI, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--jobs", "0"],
+    ["--timeout", "0"],
+    ["--timeout", "-1"],
+])
+def test_bad_flag_value_is_rejected(flags, capsys):
+    from mathverify.cli import main
+    assert main(["report", "--corpus", MINI, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: command line: ") and captured.out == ""
+
+
+def test_flags_override_config(tmp_path):
+    from mathverify.cli import _options_from, build_parser
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("jobs = 2\ntimeout_seconds = 60\nthreshold = 0.01\n")
+    args = build_parser().parse_args(
+        ["verify", "--config", str(cfg), "--timeout", "5", "--blueprints", "b.rules"])
+    options = _options_from(args)
+    assert (options.jobs, options.numeric.timeout_seconds) == (2, 5.0)
+    assert options.numeric.threshold == 0.01
+    assert options.blueprints == "b.rules"
+    # verify --mode picks the stages; the symbolic ``mode`` setting stays.
+    assert options.symbolic.mode == "both"
 
 
 def test_load_config_resolves_relative_paths(tmp_path):
@@ -324,3 +375,21 @@ def test_cli_translate(capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert all(l["status"] == "ok" for l in lines)
     assert any(l["translation"].startswith("GAMMA") for l in lines)
+
+
+@pytest.mark.parametrize("stages", ["numeric", "symbolic"])
+def test_cli_verify_runs_only_the_chosen_stage(stages, capsys):
+    from mathverify.cli import main
+    assert main(["verify", "--corpus", MINI, "--mode", stages]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 40
+    skipped = "symbolic" if stages == "numeric" else "numeric"
+    assert all(l[skipped] is None for l in lines)
+    assert any(l[stages] is not None for l in lines)
+
+
+def test_cli_verify_both_matches_golden_file(capsysbinary):
+    from mathverify.cli import main
+    assert main(["verify", "--corpus", MINI, "--mode", "both"]) == 0
+    expected = (DATA / "mini_corpus_report.structured.jsonl").read_bytes()
+    assert capsysbinary.readouterr().out == expected

@@ -45,6 +45,7 @@ from .parser import (
 )
 from .pipeline import (
     ChapterReport,
+    Outcome,
     PipelineOptions,
     PipelineReport,
     Tables,

@@ -44,7 +44,3 @@ CHAPTERS: dict[str, tuple[int, str]] = {
 }
 
 CHAPTER_CODES = frozenset(CHAPTERS)
-
-
-def chapter_number(code: str) -> int:
-    return CHAPTERS[code][0]

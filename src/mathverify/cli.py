@@ -19,9 +19,7 @@ from .extraction import (
     write_corpus,
 )
 from .pipeline import (
-    FORMAT_CSV,
     FORMAT_STRUCTURED,
-    FORMAT_TEXT,
     SETTINGS,
     PipelineOptions,
     Tables,
@@ -119,10 +117,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     options = _options_from(args)
-    fmt = {"text": FORMAT_TEXT, "csv": FORMAT_CSV,
-           "structured": FORMAT_STRUCTURED}[args.format]
     report = run_pipeline(_require_corpus(args), options, chapter=args.chapter)
-    sys.stdout.buffer.write(render_report(report, fmt))
+    sys.stdout.buffer.write(render_report(report, args.format))
     return 0
 
 

@@ -13,9 +13,11 @@ collected for review.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -38,8 +40,8 @@ from .errors import (
 from .extraction import FormulaRecord, read_corpus, scan_second
 from .numeric import (
     CLASS_ABOVE_THRESHOLD,
-    CLASS_VERIFIED,
     NumericConfig,
+    NumericOutcome,
     verify_numeric,
 )
 from .parser import MacroTable, load_macro_table, parse, tokenize
@@ -47,6 +49,7 @@ from .symbolic import (
     CLASS_OTHER_NUMERIC,
     RewriteRule,
     SimplifyConfig,
+    SymbolicOutcome,
     load_rewrite_rules,
     verify_symbolic,
 )
@@ -106,73 +109,91 @@ class Tables:
         )
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """One record's verdict: its constraint gaps, how translation ended,
+    and the symbolic and numeric results as their stages returned them
+    (None for a stage that did not run)."""
+    id: str
+    chapter: str
+    latex: str
+    unmatched_constraints: tuple[str, ...] = ()
+    constraint_conflicts: tuple[str, ...] = ()
+    failure: Optional[str] = None
+    relation: Optional[str] = None
+    maple: Optional[str] = None
+    symbolic: Optional[SymbolicOutcome] = None
+    numeric: Optional[NumericOutcome] = None
+
+    def to_json(self) -> str:
+        """The record's line of the structured report; ``translated`` is
+        derived from ``relation``."""
+        sym, num = self.symbolic, self.numeric
+        return json.dumps({
+            "id": self.id,
+            "chapter": self.chapter,
+            "latex": self.latex,
+            "translated": self.relation is not None,
+            "failure": self.failure,
+            "relation": self.relation,
+            "symbolic": None if sym is None else {
+                "classification": sym.classification,
+                "value": None if sym.value is None else str(sym.value),
+                "preprocessor": sym.winning_preprocessor,
+                "steps": sym.steps_used,
+            },
+            "numeric": None if num is None else {
+                "classification": num.classification,
+                "detail": num.detail,
+                "worst": num.worst,
+                "branch_sensitive": num.branch_sensitive,
+                "n_evaluations": len(num.evaluations),
+                "n_skipped": len(num.skipped),
+                "evaluations": [{
+                    "assignment": ev.assignment, "lhs": [ev.lhs.real, ev.lhs.imag],
+                    "rhs": [ev.rhs.real, ev.rhs.imag], "discrepancy": ev.discrepancy,
+                } for ev in num.evaluations],
+            },
+            "unmatched_constraints": list(self.unmatched_constraints),
+            "constraint_conflicts": list(self.constraint_conflicts),
+            "maple": self.maple,
+        }, ensure_ascii=True)
+
+    # Key lookups into the JSON view, kept for readers of the structured
+    # lines: perfbench/gate.py reads outcome["failure"] and .get("symbolic").
+    def __getitem__(self, key: str):
+        return json.loads(self.to_json())[key]
+
+    def get(self, key: str, default=None):
+        return json.loads(self.to_json()).get(key, default)
+
+
 def verify_record(record: FormulaRecord, tables: Tables,
-                  options: PipelineOptions) -> dict:
-    """Translate and verify one corpus record; returns the structured
-    per-formula outcome."""
-    out: dict = {
-        "id": record.id,
-        "chapter": record.chapter_code,
-        "latex": record.latex,
-        "translated": False,
-        "failure": None,
-        "relation": None,
-        "symbolic": None,
-        "numeric": None,
-        "unmatched_constraints": [],
-        "constraint_conflicts": [],
-        "maple": None,
-    }
+                  options: PipelineOptions) -> Outcome:
+    """Translate and verify one corpus record."""
     interp = interpret_constraints(record.constraints, tables.blueprints,
                                    tables.macro_table)
-    out["unmatched_constraints"] = list(interp.unmatched)
-    out["constraint_conflicts"] = list(interp.conflicts)
+    outcome = partial(Outcome, record.id, record.chapter_code, record.latex,
+                      tuple(interp.unmatched), tuple(interp.conflicts))
     try:
         tree = parse(tokenize(record.latex), tables.macro_table)
         rel = to_relation(tree, tables.translation_table)
     except TranslationError as exc:
-        out["failure"] = exc.failure_kind
-        return out
+        return outcome(failure=exc.failure_kind)
     except MathVerifyError:
-        out["failure"] = "unsupported_grammar"
-        return out
-    out["translated"] = True
-    out["relation"] = rel.kind
+        return outcome(failure="unsupported_grammar")
     try:
-        out["maple"] = emit_relation(rel, DIALECT_MAPLE, tables.translation_table)
+        maple = emit_relation(rel, DIALECT_MAPLE, tables.translation_table)
     except NoDialectMapping:
-        out["maple"] = None
-    sym_verified = False
+        maple = None
+    sym = num = None
     if options.run_symbolic and rel.kind in (ir.REL_EQ, ir.REL_EQUIV):
         sym = verify_symbolic(rel, interp.domains,
                               replace(options.symbolic, rules=tables.rewrite_rules))
-        out["symbolic"] = {
-            "classification": sym.classification,
-            "value": None if sym.value is None else str(sym.value),
-            "preprocessor": sym.winning_preprocessor,
-            "steps": sym.steps_used,
-        }
-        sym_verified = sym.verified
-    if options.run_numeric and not sym_verified and rel.kind != ir.REL_TO:
+    if options.run_numeric and (sym is None or not sym.verified) \
+            and rel.kind != ir.REL_TO:
         num = verify_numeric(rel, interp.domains, interp.specials, options.numeric)
-        out["numeric"] = {
-            "classification": num.classification,
-            "detail": num.detail,
-            "worst": num.worst,
-            "branch_sensitive": num.branch_sensitive,
-            "n_evaluations": len(num.evaluations),
-            "n_skipped": len(num.skipped),
-            "evaluations": [
-                {
-                    "assignment": ev.assignment,
-                    "lhs": [ev.lhs.real, ev.lhs.imag],
-                    "rhs": [ev.rhs.real, ev.rhs.imag],
-                    "discrepancy": ev.discrepancy,
-                }
-                for ev in num.evaluations
-            ],
-        }
-    return out
+    return outcome(relation=rel.kind, maple=maple, symbolic=sym, numeric=num)
 
 
 @dataclass
@@ -182,11 +203,26 @@ class ChapterReport:
     translated: int = 0
     sym_verified: int = 0
     num_verified: int = 0
-    failures: dict = field(default_factory=dict)
+    failures: Counter = field(default_factory=Counter)
 
     @property
     def chapter_number(self) -> int:
         return CHAPTERS[self.chapter_code][0] if self.chapter_code in CHAPTERS else 0
+
+    def add(self, out: Outcome) -> None:
+        """Count one outcome in this row: a translation failure, or else
+        translated and then verified by one stage or failed by numeric."""
+        self.f2 += 1
+        if out.failure is not None:
+            self.failures[out.failure] += 1
+            return
+        self.translated += 1
+        if out.symbolic is not None and out.symbolic.verified:
+            self.sym_verified += 1
+        elif out.numeric is not None and out.numeric.verified:
+            self.num_verified += 1
+        elif out.numeric is not None:
+            self.failures[out.numeric.classification] += 1
 
     def t_percent(self) -> float:
         return 100.0 * self.translated / self.f2 if self.f2 else 0.0
@@ -211,85 +247,53 @@ class FlaggedCase:
 @dataclass
 class PipelineReport:
     chapters: list[ChapterReport]
-    outcomes: list[dict]
+    outcomes: list[Outcome]
     totals: ChapterReport
 
 
-def aggregate(outcomes: Sequence[dict]) -> PipelineReport:
-    """Deterministic fold of per-formula outcomes into chapter rows."""
+def aggregate(outcomes: Sequence[Outcome]) -> PipelineReport:
+    """Deterministic fold of per-formula outcomes into chapter rows and
+    the Σ row."""
+    outcomes = sorted(outcomes, key=lambda o: o.id)
     by_chapter: dict[str, ChapterReport] = {}
-    for out in sorted(outcomes, key=lambda o: o["id"]):
-        ch = by_chapter.setdefault(out["chapter"], ChapterReport(out["chapter"]))
-        ch.f2 += 1
-        if out["failure"] is not None:
-            ch.failures[out["failure"]] = ch.failures.get(out["failure"], 0) + 1
-            continue
-        ch.translated += 1
-        sym = out.get("symbolic")
-        if sym is not None and sym["classification"] in ("zero", "one"):
-            ch.sym_verified += 1
-            continue
-        num = out.get("numeric")
-        if num is None:
-            continue
-        if num["classification"] == CLASS_VERIFIED:
-            ch.num_verified += 1
-        else:
-            key = num["classification"]
-            ch.failures[key] = ch.failures.get(key, 0) + 1
+    totals = ChapterReport("Σ")
+    for out in outcomes:
+        by_chapter.setdefault(out.chapter, ChapterReport(out.chapter)).add(out)
+        totals.add(out)
     chapters = sorted(by_chapter.values(), key=lambda c: c.chapter_number)
-    totals = _totals_row(chapters)
-    return PipelineReport(chapters, sorted(outcomes, key=lambda o: o["id"]), totals)
-
-
-def _totals_row(chapters: Sequence[ChapterReport]) -> ChapterReport:
-    total = ChapterReport("Σ")
-    total.f2 = sum(c.f2 for c in chapters)
-    total.translated = sum(c.translated for c in chapters)
-    total.sym_verified = sum(c.sym_verified for c in chapters)
-    total.num_verified = sum(c.num_verified for c in chapters)
-    for c in chapters:
-        for k, v in c.failures.items():
-            total.failures[k] = total.failures.get(k, 0) + v
-    return total
+    return PipelineReport(chapters, outcomes, totals)
 
 
 # --- flagged cases ---
 
 REASON_INVALID_VALUES = "invalid_values"
-REASON_TRANSLATION_ERROR = "translation_error"
 REASON_SOURCE_ERROR = "source_error"
 REASON_ENGINE_ERROR = "engine_error"
 
+_FLAG_STAGE_ORDER = {"numeric": 0, "symbolic": 1, "constraint": 2}
+
 
 def list_flagged(report: PipelineReport) -> list[FlaggedCase]:
-    """Particularly interesting cases, worst discrepancy first; unmatched
-    constraints close the list with stage ``constraint``."""
-    numeric_flags: list[FlaggedCase] = []
-    symbolic_flags: list[FlaggedCase] = []
-    constraint_flags: list[FlaggedCase] = []
+    """Particularly interesting cases: numeric flags, worst discrepancy
+    first, then symbolic flags; unmatched constraints close the list
+    with stage ``constraint``."""
+    flags: list[FlaggedCase] = []
     for out in report.outcomes:
-        sym = out.get("symbolic")
-        if sym is not None and sym["classification"] == CLASS_OTHER_NUMERIC:
-            symbolic_flags.append(FlaggedCase(
-                out["id"], "symbolic",
-                f"simplified to {sym['value']}", REASON_SOURCE_ERROR,
+        sym, num = out.symbolic, out.numeric
+        if sym is not None and sym.classification == CLASS_OTHER_NUMERIC:
+            flags.append(FlaggedCase(
+                out.id, "symbolic", f"simplified to {sym.value}", REASON_SOURCE_ERROR,
             ))
-        num = out.get("numeric")
-        if num is not None and num["classification"] == CLASS_ABOVE_THRESHOLD:
-            reason = REASON_ENGINE_ERROR if num.get("branch_sensitive") \
-                else REASON_SOURCE_ERROR
-            numeric_flags.append(FlaggedCase(
-                out["id"], "numeric",
-                f"worst discrepancy {num['worst']:.6g}", reason,
-                worst=num.get("worst"),
+        if num is not None and num.classification == CLASS_ABOVE_THRESHOLD:
+            reason = REASON_ENGINE_ERROR if num.branch_sensitive else REASON_SOURCE_ERROR
+            flags.append(FlaggedCase(
+                out.id, "numeric", f"worst discrepancy {num.worst:.6g}", reason,
+                worst=num.worst,
             ))
-        for text in out.get("unmatched_constraints", ()):
-            constraint_flags.append(FlaggedCase(
-                out["id"], "constraint", text, REASON_INVALID_VALUES,
-            ))
-    numeric_flags.sort(key=lambda f: -(f.worst or 0.0))
-    return numeric_flags + symbolic_flags + constraint_flags
+        flags += [FlaggedCase(out.id, "constraint", text, REASON_INVALID_VALUES)
+                  for text in out.unmatched_constraints]
+    flags.sort(key=lambda f: (_FLAG_STAGE_ORDER[f.stage], -(f.worst or 0.0)))
+    return flags
 
 
 # --- run ---
@@ -324,13 +328,13 @@ def _worker_init(options: PipelineOptions) -> None:
     _WORKER_STATE["tables"] = Tables(options)
 
 
-def _worker_verify(record_json: str) -> dict:
+def _worker_verify(record_json: str) -> Outcome:
     record = FormulaRecord.from_json(record_json)
     return verify_record(record, _WORKER_STATE["tables"], _WORKER_STATE["options"])
 
 
 def _run_parallel(records: Sequence[FormulaRecord],
-                  options: PipelineOptions) -> list[dict]:
+                  options: PipelineOptions) -> list[Outcome]:
     with ProcessPoolExecutor(
         max_workers=options.jobs,
         initializer=_worker_init,
@@ -356,7 +360,7 @@ def render_report(report: PipelineReport, fmt: str = FORMAT_TEXT) -> bytes:
     if fmt == FORMAT_TEXT:
         return _render_text(report)
     if fmt == FORMAT_STRUCTURED:
-        lines = [json.dumps(o, ensure_ascii=True) for o in report.outcomes]
+        lines = [o.to_json() for o in report.outcomes]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 

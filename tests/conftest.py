@@ -2,6 +2,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every run of the suite draws the same hypothesis inputs, so a failure
+# that depends on a draw shows on every run or on none.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))

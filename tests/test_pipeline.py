@@ -1,6 +1,7 @@
 import difflib
 import json
 import random
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -117,10 +118,29 @@ def test_text_report_single_chapter():
 
 
 def test_structured_lines_round_trip(report):
+    # The structured lines alone determine the totals: recount the four
+    # columns and the failure breakdown from the parsed lines.
     blob = render_report(report, "structured")
-    outcomes = [json.loads(line) for line in blob.decode("utf-8").splitlines()]
-    again = aggregate(outcomes)
-    assert again.totals.__dict__ == report.totals.__dict__
+    columns, failures = Counter(), Counter()
+    for line in blob.decode("utf-8").splitlines():
+        out = json.loads(line)
+        columns["f2"] += 1
+        if out["failure"] is not None:
+            failures[out["failure"]] += 1
+            continue
+        columns["translated"] += 1
+        sym, num = out["symbolic"], out["numeric"]
+        if sym is not None and sym["classification"] in ("zero", "one"):
+            columns["sym_verified"] += 1
+        elif num is not None and num["classification"] == "verified":
+            columns["num_verified"] += 1
+        elif num is not None:
+            failures[num["classification"]] += 1
+    totals = report.totals
+    assert columns == Counter(f2=totals.f2, translated=totals.translated,
+                              sym_verified=totals.sym_verified,
+                              num_verified=totals.num_verified)
+    assert failures == totals.failures
 
 
 def test_flagged_cases(report):
@@ -191,6 +211,49 @@ def test_verify_record_structure(tables, mini_corpus):
     assert out["translated"] is True
     assert out["symbolic"]["classification"] == "zero"
     assert out["maple"].startswith("sin(x)^2")
+
+
+def test_outcome_key_lookups_read_its_json_line(tables, mini_corpus):
+    out = verify_record(mini_corpus[0], tables, PipelineOptions())
+    line = json.loads(out.to_json())
+    assert {key: out[key] for key in line} == line
+    assert out.get("symbolic") == line["symbolic"]
+    assert out.get("no_such_key") is None
+
+
+def test_unparsable_record_is_unsupported_grammar(tables):
+    from mathverify.extraction import FormulaRecord
+    record = FormulaRecord(id="EF.905", chapter_code="EF", latex="x = {1")
+    out = verify_record(record, tables, PipelineOptions())
+    assert out.failure == "unsupported_grammar"
+    assert out.relation is None and out.symbolic is None and out.numeric is None
+    assert out["translated"] is False
+
+
+def test_record_without_maple_name_still_translates(tables):
+    # translation.table maps \qgenhyper to no Maple name ('-'), so the
+    # record has no Maple text; it still translates, and numeric cannot
+    # evaluate it.
+    from mathverify.extraction import FormulaRecord
+    record = FormulaRecord(id="QH.900", chapter_code="QH",
+                           latex=r"\qgenhyper{1}{1}@@{a}{b}{q}{z} = 1")
+    out = verify_record(record, tables, PipelineOptions())
+    assert out.maple is None
+    assert out["translated"] is True
+    assert out.numeric.classification == "numerically_unsupported"
+
+
+def test_false_constant_relation_is_flagged_by_both_stages(tables):
+    # The record's numeric flag sorts ahead of its symbolic flag.
+    from mathverify.extraction import FormulaRecord
+    record = FormulaRecord(id="EF.906", chapter_code="EF", latex="1 = 2")
+    report = aggregate([verify_record(record, tables, PipelineOptions())])
+    flags = [(f.formula_id, f.stage, f.detail, f.suspected_reason)
+             for f in list_flagged(report)]
+    assert flags == [
+        ("EF.906", "numeric", "worst discrepancy 1", "source_error"),
+        ("EF.906", "symbolic", "simplified to -1", "source_error"),
+    ]
 
 
 def test_limit_relation_translates_but_is_not_verified(tmp_path, tables):

@@ -177,28 +177,42 @@ def load_substitutions_file(path: Union[str, Path]) -> dict[str, list[tuple[str,
     return load_substitutions(Path(path).read_text(encoding="utf-8"))
 
 
-def _apply_substitutions(latex: str, rules: Sequence[tuple[str, str]]) -> str:
-    """Token-aware entity replacement (so ``e`` never fires inside ``\\expe``)."""
+def _try_tokenize(latex: str) -> Optional[list[Token]]:
+    try:
+        return tokenize(latex)
+    except MathVerifyError:
+        return None
+
+
+def _tokenize_patterns(rules: Sequence[tuple[str, str]]) -> list[tuple[list[str], str]]:
+    """Each rule as (pattern token texts, replacement); a pattern that does
+    not tokenize gets no texts and never matches."""
+    out = []
+    for pattern, replacement in rules:
+        tokens = _try_tokenize(pattern)
+        out.append(([t.text for t in tokens] if tokens else [], replacement))
+    return out
+
+
+def _apply_substitutions(latex: str, rules: Sequence[tuple[list[str], str]]) -> str:
+    """Token-aware entity replacement (so ``e`` never fires inside ``\\expe``),
+    with patterns as `_tokenize_patterns` gives them."""
     if not rules:
         return latex
-    try:
-        tokens = tokenize(latex)
-    except MathVerifyError:
+    tokens = _try_tokenize(latex)
+    if tokens is None:
         return latex
     texts = [t.text for t in tokens]
-    for pattern, replacement in rules:
-        try:
-            pat = [t.text for t in tokenize(pattern)]
-        except MathVerifyError:
+    for pat, replacement in rules:
+        if not pat or pat[0] not in texts:
             continue
-        if not pat:
-            continue
+        first, n = pat[0], len(pat)
         out: list[str] = []
         i = 0
         while i < len(texts):
-            if texts[i:i + len(pat)] == pat:
+            if texts[i] == first and texts[i:i + n] == pat:
                 out.append(replacement)
-                i += len(pat)
+                i += n
             else:
                 out.append(texts[i])
                 i += 1
@@ -340,7 +354,7 @@ def scan_first(
     subst_rules: Optional[dict[str, list[tuple[str, str]]]] = None,
 ) -> list[FormulaRecord]:
     """First extraction scan over one chapter source."""
-    rules = (subst_rules or {}).get(source.chapter_code, [])
+    rules = _tokenize_patterns((subst_rules or {}).get(source.chapter_code, []))
     body = _strip_comments(source.body)
     records: list[FormulaRecord] = []
     seq = 0
@@ -406,32 +420,25 @@ def scan_first(
 
 # --- scan two ---
 
-def _try_tokenize(latex: str) -> Optional[list[Token]]:
-    try:
-        return tokenize(latex)
-    except MathVerifyError:
-        return None
+def _has_cull_environment(latex: str) -> bool:
+    return "\\begin{" in latex and any(
+        f"\\begin{{{env}}}" in latex for env in CULL_ENVIRONMENTS
+    )
 
 
-def _is_culled(latex: str) -> bool:
-    if "\\begin{" in latex:
-        for env in CULL_ENVIRONMENTS:
-            if f"\\begin{{{env}}}" in latex:
-                return True
-    tokens = _try_tokenize(latex)
-    if tokens is None:
-        return True
+def _has_cull_word(tokens: list[Token]) -> bool:
     return any(
         t.category is TokenCategory.CONTROL_SEQUENCE and t.text in CULL_CONTROL_WORDS
         for t in tokens
     )
 
 
+def _contains_relation(tokens: Optional[list[Token]]) -> bool:
+    return tokens is not None and any(t.text in RELATION_TEXTS for t in tokens)
+
+
 def _has_relation(latex: str) -> bool:
-    tokens = _try_tokenize(latex)
-    if tokens is None:
-        return False
-    return any(t.text in RELATION_TEXTS for t in tokens)
+    return _contains_relation(_try_tokenize(latex))
 
 
 def expand_preamble_macros(latex: str, macros: Sequence[PreambleMacro]) -> str:
@@ -486,7 +493,13 @@ def _top_level_relations(tokens: list[Token]) -> list[int]:
 
 def split_relations(record: FormulaRecord) -> list[FormulaRecord]:
     """``a=b=c`` pairs the first member with each later member."""
-    tokens = _try_tokenize(record.latex)
+    return _split_relations(record, _try_tokenize(record.latex))
+
+
+def _split_relations(record: FormulaRecord,
+                     tokens: Optional[list[Token]]) -> list[FormulaRecord]:
+    """`split_relations` on the record's tokens; ``[record]`` itself when
+    there is nothing to split."""
     if not tokens:
         return [record]
     rel_idx = _top_level_relations(tokens)
@@ -518,7 +531,13 @@ def split_relations(record: FormulaRecord) -> list[FormulaRecord]:
 
 def split_plus_minus(record: FormulaRecord) -> list[FormulaRecord]:
     """Resolve correlated ``\\pm``/``\\mp`` into two sign-consistent records."""
-    tokens = _try_tokenize(record.latex)
+    return _split_plus_minus(record, _try_tokenize(record.latex))
+
+
+def _split_plus_minus(record: FormulaRecord,
+                      tokens: Optional[list[Token]]) -> list[FormulaRecord]:
+    """`split_plus_minus` on the record's tokens; ``[record]`` itself when
+    there is no sign to resolve."""
     if not tokens or not any(t.text in ("\\pm", "\\mp") for t in tokens):
         return [record]
 
@@ -548,17 +567,27 @@ def scan_second(
     """Second extraction scan: cull, expand, split, and filter.
 
     Idempotent: records that need no action pass through unchanged.
+    Each record is tokenized once, and once more only when macro
+    expansion changed its text; the cull check reads the unexpanded
+    text.  Only the rare split children are tokenized again.
     """
     out: list[FormulaRecord] = []
     for rec in records:
-        if _is_culled(rec.latex):
+        if _has_cull_environment(rec.latex):
+            continue
+        tokens = _try_tokenize(rec.latex)
+        if tokens is None or _has_cull_word(tokens):
             continue
         expanded = expand_preamble_macros(rec.latex, preamble_macros)
         if expanded != rec.latex:
             rec = replace(rec, latex=expanded)
-        for chain_child in split_relations(rec):
-            for child in split_plus_minus(chain_child):
-                if _has_relation(child.latex):
+            tokens = _try_tokenize(expanded)
+        for chain_child in _split_relations(rec, tokens):
+            chain_tokens = tokens if chain_child is rec else _try_tokenize(chain_child.latex)
+            for child in _split_plus_minus(chain_child, chain_tokens):
+                child_tokens = (chain_tokens if child is chain_child
+                                else _try_tokenize(child.latex))
+                if _contains_relation(child_tokens):
                     out.append(child)
     return out
 

@@ -13,6 +13,7 @@ collected for review.
 from __future__ import annotations
 
 import json
+import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -55,10 +56,17 @@ from .symbolic import (
 )
 from .translate import TranslationTable, load_translation_table, to_relation
 
-# Translation-failure kinds: their chapter counts plus T reconstitute F2.
+# A record whose check raised something other than a MathVerifyError.
+FAILURE_INTERNAL_ERROR = "internal_error"
+
+# Failure kinds of records that are not translated: their chapter counts
+# plus T reconstitute F2.
 TRANSLATION_FAILURE_KINDS = (
     "unknown_macro", "insufficient_semantics", "unsupported_grammar",
+    FAILURE_INTERNAL_ERROR,
 )
+
+_log = logging.getLogger(__name__)
 
 
 def data_text(name: str) -> str:
@@ -170,7 +178,24 @@ class Outcome:
 
 def verify_record(record: FormulaRecord, tables: Tables,
                   options: PipelineOptions) -> Outcome:
-    """Translate and verify one corpus record."""
+    """Translate and verify one corpus record.
+
+    An exception that is not a MathVerifyError (a ``RecursionError`` on
+    deeply nested input, say) is logged with its traceback and ends this
+    record with failure ``internal_error``, so one record cannot stop a
+    run."""
+    try:
+        return _verify(record, tables, options)
+    except MathVerifyError:
+        raise
+    except Exception:
+        _log.exception("record %s: internal error", record.id)
+        return Outcome(record.id, record.chapter_code, record.latex,
+                       failure=FAILURE_INTERNAL_ERROR)
+
+
+def _verify(record: FormulaRecord, tables: Tables,
+            options: PipelineOptions) -> Outcome:
     interp = interpret_constraints(record.constraints, tables.blueprints,
                                    tables.macro_table)
     outcome = partial(Outcome, record.id, record.chapter_code, record.latex,
@@ -314,7 +339,7 @@ def run_pipeline(
     records = scan_second(records)
     tables = tables or Tables(options)
     if options.jobs > 1:
-        outcomes = _run_parallel(records, options)
+        outcomes = _run_parallel(records, tables, options)
     else:
         outcomes = [verify_record(r, tables, options) for r in records]
     return aggregate(outcomes)
@@ -323,9 +348,9 @@ def run_pipeline(
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(options: PipelineOptions) -> None:
+def _worker_init(tables: Tables, options: PipelineOptions) -> None:
+    _WORKER_STATE["tables"] = tables
     _WORKER_STATE["options"] = options
-    _WORKER_STATE["tables"] = Tables(options)
 
 
 def _worker_verify(record_json: str) -> Outcome:
@@ -333,12 +358,15 @@ def _worker_verify(record_json: str) -> Outcome:
     return verify_record(record, _WORKER_STATE["tables"], _WORKER_STATE["options"])
 
 
-def _run_parallel(records: Sequence[FormulaRecord],
+def _run_parallel(records: Sequence[FormulaRecord], tables: Tables,
                   options: PipelineOptions) -> list[Outcome]:
+    """Verify ``records`` in ``options.jobs`` worker processes that use
+    the caller's ``tables``: a forked worker inherits them, a spawned one
+    unpickles them."""
     with ProcessPoolExecutor(
         max_workers=options.jobs,
         initializer=_worker_init,
-        initargs=(options,),
+        initargs=(tables, options),
     ) as pool:
         return list(pool.map(_worker_verify, [r.to_json() for r in records]))
 

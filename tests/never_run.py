@@ -31,8 +31,9 @@ PACKAGE_DIR = TESTS_DIR.parent / "src" / "mathverify"
 
 
 def _trace_lines(run):
-    """``run()``'s result, and filename -> the line numbers executed in
-    ``PACKAGE_DIR`` while it ran."""
+    """``run(plugin)``'s result, and filename -> the line numbers executed
+    in ``PACKAGE_DIR`` while it ran; ``plugin`` is a pytest plugin that
+    keeps the tracer installed."""
     prefix = str(PACKAGE_DIR) + "/"
     executed: dict[str, set[int]] = {}
     local_tracers: dict = {}
@@ -54,10 +55,19 @@ def _trace_lines(run):
             local_tracers[filename] = local_tracer(filename)
         return local_tracers[filename]
 
+    class Rearm:
+        """Puts the tracer back before each test: Python drops a trace
+        function that raises, as it does when a test recurses up to the
+        recursion limit."""
+
+        def pytest_runtest_setup(self):
+            if sys.gettrace() is None:
+                sys.settrace(tracer)
+
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        result = run()
+        result = run(Rearm())
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -109,7 +119,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PACKAGE_DIR.parent))
     args = argv or [str(TESTS_DIR)]
     status, executed = _trace_lines(
-        lambda: pytest.main(["-q", "-p", "no:cacheprovider", *args]))
+        lambda plugin: pytest.main(["-q", "-p", "no:cacheprovider", *args],
+                                   plugins=[plugin]))
     total = total_missed = 0
     for name, (count, missed) in never_run(executed).items():
         total += count

@@ -1,5 +1,6 @@
 import difflib
 import json
+import pickle
 import random
 from collections import Counter
 from importlib import resources
@@ -8,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from mathverify.errors import ConfigParseError, MissingInputFile
+from mathverify.extraction import FormulaRecord, write_corpus
 from mathverify.pipeline import (
     ChapterReport,
     PipelineOptions,
     PipelineReport,
+    TRANSLATION_FAILURE_KINDS,
     Tables,
     aggregate,
     list_flagged,
@@ -202,6 +205,42 @@ def test_parallel_jobs_match_serial(report):
     options = PipelineOptions(jobs=2)
     parallel = run_pipeline(MINI, options)
     assert parallel.outcomes == report.outcomes
+
+
+def test_tables_pickle_round_trip(tables, mini_corpus):
+    copy = pickle.loads(pickle.dumps(tables))
+    for name in ("macro_table", "translation_table"):
+        assert vars(getattr(copy, name)) == vars(getattr(tables, name))
+    assert copy.blueprints == tables.blueprints
+    assert copy.rewrite_rules == tables.rewrite_rules
+    options = PipelineOptions()
+    assert [verify_record(r, copy, options) for r in mini_corpus[:5]] == \
+        [verify_record(r, tables, options) for r in mini_corpus[:5]]
+
+
+def test_parallel_jobs_use_the_callers_tables(report):
+    custom = Tables(PipelineOptions())
+    custom.rewrite_rules = ()
+    serial = run_pipeline(MINI, tables=custom)
+    parallel = run_pipeline(MINI, PipelineOptions(jobs=2), tables=custom)
+    # Without rewrite rules some verdicts change, so the workers' tables show.
+    assert render_report(serial, "structured") != render_report(report, "structured")
+    assert render_report(parallel, "structured") == render_report(serial, "structured")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_record_that_raises_ends_as_internal_error(tmp_path, report, mini_corpus, jobs):
+    deep = FormulaRecord("EF.999", "EF", "x = " + "(" * 400 + "x" + ")" * 400)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(mini_corpus + [deep], corpus)
+    result = run_pipeline(corpus, PipelineOptions(jobs=jobs))
+    by_id = {o.id: o for o in result.outcomes}
+    assert by_id.pop("EF.999").failure == "internal_error"
+    assert list(by_id.values()) == report.outcomes
+    assert result.totals.failures["internal_error"] == 1
+    failed = sum(result.totals.failures[k] for k in TRANSLATION_FAILURE_KINDS)
+    assert result.totals.f2 == result.totals.translated + failed
+    assert "internal_error=1" in render_report(result).decode()
 
 
 def test_verify_record_structure(tables, mini_corpus):

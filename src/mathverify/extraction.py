@@ -508,9 +508,10 @@ def _split_relations(record: FormulaRecord,
     text = record.latex
 
     def span(a: int, b: int) -> str:
-        start = tokens[a].byte_offset
-        end = tokens[b].byte_offset + len(tokens[b].text) if b < len(tokens) else len(text)
-        return text[start:end].strip()
+        if b < a:
+            return ""  # an empty chain member
+        end = tokens[b].byte_offset + len(tokens[b].text)
+        return text[tokens[a].byte_offset:end].strip()
 
     first = span(0, rel_idx[0] - 1)
     out = []

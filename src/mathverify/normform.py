@@ -20,6 +20,14 @@ arithmetic can make one integral (`_exp_add`, and `_poly_add_into`,
 which every product passes through).  The two kinds hash and compare
 equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
+
+A `NormContext` counts steps against a budget.  Given a `NormMemo`, the
+contexts of one formula's candidates share the normal forms of the
+subtrees they have in common, and each reuse is charged the steps that
+normalizing it afresh in that context would count: its own ticks, plus
+those of the `canon` keys it needs that the context has not yet paid
+for.  So ``steps``, and where a budget runs out, are the same with or
+without the memo.
 """
 
 from __future__ import annotations
@@ -72,21 +80,87 @@ _MAX_HYPER_UNROLL = 12
 _MAX_BIGOP_UNROLL = 64
 
 
+class NormMemo:
+    """Normal forms that the contexts of one formula's candidates share.
+
+    ``norms`` maps a non-leaf node to its frozen `_norm` result, and
+    ``canons`` maps a `canon` key to its canonical IR.  Each entry also
+    keeps its own ticks (those spent outside nested `canon` computations)
+    and the closure of the `canon` keys its computation touched, so that
+    a context reusing it can charge what computing it afresh would cost
+    (`NormContext.charge`).  Results depend on the power cap, so one memo
+    serves contexts of one cap only.  Nothing in it depends on a step
+    budget or on the order in which contexts fill it."""
+
+    __slots__ = ("power_cap", "norms", "canons")
+
+    def __init__(self, power_cap: int = 64):
+        self.power_cap = power_cap
+        # node -> (num items, den items, own ticks, canon closure)
+        self.norms: dict[Expr, tuple] = {}
+        # key -> (canonical IR, own ticks, canon closure including key)
+        self.canons: dict[Expr, tuple] = {}
+
+
+_NO_KEYS: frozenset = frozenset()
+
+
 class NormContext:
-    """Step budget and memoization shared across one normalization."""
+    """Step budget and memoization shared across one normalization.
 
-    __slots__ = ("budget", "steps", "power_cap", "_canon_memo")
+    ``steps`` counts one tick per normalized node, polynomial term
+    product and folded monomial.  `canon` is memoized per context, so a
+    context counts each `canon` key's computation once: the set of keys it
+    has charged is closed downward (with a key, every key its computation
+    touched).  Without a memo that is all that is reused.  With a
+    `NormMemo`, `_norm` and `canon` results computed by earlier contexts
+    are reused too, and each reuse is charged what a fresh computation
+    would count here (`charge`), so ``steps`` and the point where the
+    budget runs out do not depend on what the memo held.  A context that
+    raised is not used again."""
 
-    def __init__(self, budget: int = 200_000, power_cap: int = 64):
+    __slots__ = ("budget", "steps", "power_cap", "memo", "_canon_memo",
+                 "_canon_ticks", "_touched")
+
+    def __init__(self, budget: int = 200_000, power_cap: int = 64,
+                 memo: Optional[NormMemo] = None):
+        if memo is not None and memo.power_cap != power_cap:
+            raise ValueError("a NormMemo serves contexts of one power cap")
         self.budget = budget
         self.steps = 0
         self.power_cap = power_cap
+        self.memo = memo
+        # canon key -> canonical IR, for every key this context charged
         self._canon_memo: dict[Expr, Expr] = {}
+        # The own ticks of those keys, summed.
+        self._canon_ticks = 0
+        # Canon closures touched by the computations in progress; each
+        # finished `_norm` or `canon` folds its part into one frozenset.
+        self._touched: list[frozenset] = []
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
+    def tick(self) -> None:
+        self.steps += 1
         if self.steps > self.budget:
             raise BudgetExceeded(f"rewrite budget of {self.budget} steps exhausted")
+
+    def charge(self, own: int, keys: frozenset) -> None:
+        """Count a reused memo entry as a fresh computation here would:
+        ``own`` ticks, plus the own ticks of each `canon` key in ``keys``
+        this context has not charged yet, which it then has.  Past the
+        budget, ``steps`` ends one over it, as ticking one by one would."""
+        new, canon_ticks = (), 0
+        if keys:
+            charged, canons = self._canon_memo, self.memo.canons
+            new = [k for k in keys if k not in charged]
+            canon_ticks = sum(canons[k][1] for k in new)
+        steps = self.steps + own + canon_ticks
+        if steps > self.budget:
+            self.steps = self.budget + 1
+            raise BudgetExceeded(f"rewrite budget of {self.budget} steps exhausted")
+        self.steps = steps
+        self._canon_ticks += canon_ticks
+        for k in new:
+            charged[k] = canons[k][0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,7 +433,49 @@ def norm(expr: Expr, ctx: Optional[NormContext] = None) -> RatForm:
     return _freeze(rat.num, rat.den)
 
 
+_LEAVES = (Number, Const, Var)
+
+
 def _norm(expr: Expr, ctx: NormContext) -> _Rat:
+    """`_norm_node`, reused through the context's memo for a non-leaf
+    node when the context has one."""
+    memo = ctx.memo
+    if memo is None or isinstance(expr, _LEAVES):
+        return _norm_node(expr, ctx)
+    hit = memo.norms.get(expr)
+    touched = ctx._touched
+    if hit is not None:
+        num, den, own, keys = hit
+        ctx.charge(own, keys)
+        if keys:
+            touched.append(keys)
+        return _Rat(dict(num), dict(den))
+    start = len(touched)
+    steps, canon_ticks = ctx.steps, ctx._canon_ticks
+    rat = _norm_node(expr, ctx)
+    own = ctx.steps - steps - (ctx._canon_ticks - canon_ticks)
+    memo.norms[expr] = (tuple(rat.num.items()), tuple(rat.den.items()), own,
+                        _close(touched, start))
+    return rat
+
+
+def _close(touched: list[frozenset], start: int, key: Optional[Expr] = None) -> frozenset:
+    """Fold the closures touched since ``start``, and ``key`` if given,
+    into the one closure this returns and leaves in their place."""
+    parts = touched[start:]
+    if key is None:
+        if not parts:
+            return _NO_KEYS
+        if len(parts) == 1:
+            return parts[0]
+        keys = frozenset().union(*parts)
+    else:
+        keys = frozenset((key,)).union(*parts)
+    touched[start:] = [keys]
+    return keys
+
+
+def _norm_node(expr: Expr, ctx: NormContext) -> _Rat:
     ctx.tick()
     if isinstance(expr, Number):
         return _rat_const(expr.value)
@@ -438,13 +554,34 @@ def _pow_expr(atom: Expr, exp: ExpKey) -> Expr:
 
 
 def canon(expr: Expr, ctx: NormContext) -> Expr:
-    """Canonical IR of an expression (memoized)."""
+    """Canonical IR of an expression, memoized in the context and, when
+    it has a memo, shared through that.  A context charges a key's
+    computation once, as `NormContext.charge` counts it."""
+    memo = ctx.memo
     cached = ctx._canon_memo.get(expr)
     if cached is not None:
+        if memo is not None:
+            ctx._touched.append(memo.canons[expr][2])
         return cached
+    if memo is None:
+        rat = _norm(expr, ctx)
+        result = ctx._canon_memo[expr] = emit(_freeze(rat.num, rat.den))
+        return result
+    hit = memo.canons.get(expr)
+    if hit is not None:
+        result, _, keys = hit
+        ctx.charge(0, keys)  # keys holds expr, so this charges it too
+        ctx._touched.append(keys)
+        return result
+    touched = ctx._touched
+    start = len(touched)
+    steps, canon_ticks = ctx.steps, ctx._canon_ticks
     rat = _norm(expr, ctx)
     result = emit(_freeze(rat.num, rat.den))
+    own = ctx.steps - steps - (ctx._canon_ticks - canon_ticks)
+    memo.canons[expr] = (result, own, _close(touched, start, expr))
     ctx._canon_memo[expr] = result
+    ctx._canon_ticks += own
     return result
 
 

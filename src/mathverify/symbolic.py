@@ -45,6 +45,7 @@ from .ir import (
 from .normform import (
     BESSEL_FAMILIES,
     NormContext,
+    NormMemo,
     RatForm,
     canon,
     constant_value,
@@ -671,11 +672,20 @@ def _classify(rf: RatForm, target: str, steps: int) -> SymbolicOutcome:
     return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps)
 
 
-def simplify(expr: Expr, config: Optional[SimplifyConfig] = None) -> tuple[SymbolicOutcome, Expr]:
+def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
+             memo: Optional[NormMemo] = None) -> tuple[SymbolicOutcome, Optional[Expr]]:
     """Normalize one expression and classify the result against the
-    configured target (0 for differences, 1 for quotients)."""
+    configured target (0 for differences, 1 for quotients).  The second
+    element is the residual: the normal form as IR, or ``expr`` when
+    normalization stopped.
+
+    ``memo`` shares normal forms with earlier calls on the candidates of
+    the same formula; ``steps_used`` counts what a fresh normalization
+    would, whatever the memo reused.  A caller that shares one reads only
+    the outcomes, so with a memo the residual is None unless
+    normalization stopped."""
     config = config or SimplifyConfig()
-    ctx = NormContext(budget=config.rewrite_step_budget)
+    ctx = NormContext(budget=config.rewrite_step_budget, memo=memo)
     try:
         e = resolve_derivatives(expr)
         e, rule_steps = apply_rules(
@@ -693,7 +703,7 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None) -> tuple[Symbo
             expr,
         )
     outcome = _classify(rf, config.mode, rule_steps + ctx.steps)
-    return outcome, emit(rf)
+    return outcome, (emit(rf) if memo is None else None)
 
 
 def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,
@@ -730,7 +740,8 @@ def verify_symbolic(
     preprocessor in order; the first zero/one outcome wins.  A candidate
     that an earlier preprocessor already produced is not simplified
     again: ``simplify`` is deterministic, so the repeat could neither win
-    nor be more informative than its first occurrence."""
+    nor be more informative than its first occurrence.  The candidates
+    share one `NormMemo`, which ends with the call."""
     config = config or SimplifyConfig()
     if rel.kind not in (ir.REL_EQ, ir.REL_EQUIV):
         raise NonEquationRelation(
@@ -754,6 +765,7 @@ def verify_symbolic(
         except (BudgetExceeded, SymbolicError):
             return None
 
+    memo = NormMemo()
     tried: set[tuple[str, Expr]] = set()
     best: Optional[SymbolicOutcome] = None
     for pre in config.preprocessors:
@@ -764,7 +776,7 @@ def verify_symbolic(
                 if key in tried:
                     continue
                 tried.add(key)
-                outcome, _ = simplify(candidate, mode_config)
+                outcome, _ = simplify(candidate, mode_config, memo)
                 if outcome.classification == target:
                     outcome.winning_preprocessor = pre
                     return outcome

@@ -161,6 +161,21 @@ def test_split_relations_mixed_chain():
     assert [c.latex.replace(" ", "") for c in children] == ["a\\leb", "a=c"]
 
 
+@pytest.mark.parametrize("latex, members", [
+    ("a = b =", ["a = b", "a = "]),
+    ("==", [" = ", " = "]),
+    ("= a = b", [" = a", " = b"]),
+])
+def test_split_relations_empty_members(latex, members):
+    # An empty chain member splits off as empty text: a chain that ends
+    # in a relation does not index past its tokens, and one that starts
+    # with a relation does not take the whole text as its first member.
+    children = split_relations(_record(latex))
+    assert [c.latex for c in children] == members
+    assert [c.id for c in children] == ["EF.1-1", "EF.1-2"]
+    assert scan_second([_record(latex)]) == children
+
+
 def test_split_plus_minus_single():
     children = split_plus_minus(_record(r"x=\pm y"))
     assert sorted(c.latex.replace(" ", "") for c in children) == ["x=+y", "x=-y"]

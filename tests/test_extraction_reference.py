@@ -78,6 +78,8 @@ def _ref_split_relations(record: FormulaRecord) -> list[FormulaRecord]:
     text = record.latex
 
     def span(a: int, b: int) -> str:
+        if b < a:
+            return ""  # an empty chain member
         start = tokens[a].byte_offset
         end = tokens[b].byte_offset + len(tokens[b].text) if b < len(tokens) else len(text)
         return text[start:end].strip()
@@ -162,8 +164,7 @@ def ref_apply_substitutions(latex: str, rules) -> str:
 
 def _result(scan, *args):
     """The scan's records, or the type of the exception it raised: an
-    unclosed macro argument raises, and so does a chain with an empty last
-    member (``a==``), in both forms alike."""
+    unclosed macro argument raises, in both forms alike."""
     try:
         return scan(*args)
     except Exception as exc:

@@ -1,10 +1,12 @@
 """The rational normal form's polynomial kernel and emission, checked
 against the loops they replaced, its bounded exact powers and gamma
-values, and its int-when-integral storage."""
+values, its int-when-integral storage, and its shared memo, checked
+against contexts without one."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +16,12 @@ from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
     ONE_POLY,
     NormContext,
+    NormMemo,
     _exact_rational_pow,
     _exact_root,
     _freeze,
     _mono_sort_key,
+    canon,
     constant_value,
     emit,
     mono_mul,
@@ -192,3 +196,65 @@ def test_integral_values_are_stored_as_int(tables, mini_corpus):
             constants += 1
             assert type(value) is Fraction
     assert forms > 100 and constants > 10
+
+
+# --- the shared memo ---
+
+_LEAVES = st.sampled_from((
+    _X, _Y, ir.num(2), ir.num(-1), ir.HALF, Const(ir.PI), Const(ir.IMAGINARY_UNIT),
+))
+
+
+def _grow(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda ab: ir.add(*ab)),
+        pairs.map(lambda ab: ir.mul(*ab)),
+        pairs.map(lambda ab: ir.div(*ab)),
+        st.tuples(children, st.sampled_from((-1, 2, 3))).map(
+            lambda be: ir.power(be[0], ir.num(be[1]))),
+        pairs.map(lambda ab: ir.power(*ab)),
+        children.map(ir.neg_term),
+        # Function arguments, derivative operands and sum bodies go
+        # through canon; a sum with numeric bounds unrolls instead.
+        st.tuples(st.sampled_from(("sin", "cos", "gamma", "elliptic_k")), children).map(
+            lambda fa: FunctionApp(fa[0], (), (fa[1],))),
+        pairs.map(lambda ab: FunctionApp("pochhammer", (), ab)),
+        children.map(lambda a: ir.Derivative(a, "x")),
+        pairs.map(lambda ab: ir.BigOp(ir.OP_SUM, "x", ir.ONE, ab[0], ab[1])),
+    )
+
+
+_trees = st.recursive(_LEAVES, _grow, max_leaves=10)
+
+
+def _canon_then_norm(t, u, ctx):
+    """canon(t), then norm(u), in one context: each result (or the type
+    of the exception that stopped the run) with ``ctx.steps`` after it."""
+    out = []
+    for run in (lambda: canon(t, ctx), lambda: norm(u, ctx)):
+        try:
+            out.append(run())
+        except Exception as exc:  # the memo-free context raises alike
+            out += [type(exc), ctx.steps]
+            break
+        out.append(ctx.steps)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=4), st.integers(1, 1500))
+def test_memo_keeps_results_and_steps(trees, budget):
+    # Each context reuses the trees of earlier ones and repeats its own,
+    # so memo entries are hit within one context and across contexts,
+    # with and without their canon keys already charged.
+    memo = NormMemo()
+    for i, t in enumerate(trees):
+        u = ir.add(ir.mul(t, trees[i - 1]), trees[i - 1], FunctionApp("sin", (), (t,)))
+        assert _canon_then_norm(t, u, NormContext(budget, memo=memo)) == \
+            _canon_then_norm(t, u, NormContext(budget))
+
+
+def test_memo_serves_one_power_cap():
+    with pytest.raises(ValueError):
+        NormContext(power_cap=8, memo=NormMemo(power_cap=64))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mathverify.errors import ConfigParseError, MissingInputFile
-from mathverify.extraction import FormulaRecord, write_corpus
+from mathverify.extraction import FormulaRecord, split_relations, write_corpus
 from mathverify.pipeline import (
     ChapterReport,
     PipelineOptions,
@@ -241,6 +241,22 @@ def test_record_that_raises_ends_as_internal_error(tmp_path, report, mini_corpus
     failed = sum(result.totals.failures[k] for k in TRANSLATION_FAILURE_KINDS)
     assert result.totals.f2 == result.totals.translated + failed
     assert "internal_error=1" in render_report(result).decode()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chains_with_empty_members_do_not_stop_a_report(tmp_path, report, mini_corpus,
+                                                        jobs):
+    chains = [FormulaRecord(f"EF.99{k}", "EF", latex)
+              for k, latex in enumerate(("a = b =", "==", "= a = b"))]
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(mini_corpus + chains, corpus)
+    result = run_pipeline(corpus, PipelineOptions(jobs=jobs))
+    by_id = {o.id: o for o in result.outcomes}
+    for chain in chains:
+        assert [by_id.pop(f"{chain.id}-{k}").latex for k in (1, 2)] == \
+            [c.latex for c in split_relations(chain)]
+    assert list(by_id.values()) == report.outcomes
+    assert render_report(result)
 
 
 def test_verify_record_structure(tables, mini_corpus):

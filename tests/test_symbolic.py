@@ -10,6 +10,7 @@ from mathverify import ir, symbolic
 from mathverify.constraints import VariableDomain
 from mathverify.errors import BudgetExceeded, NonEquationRelation, SymbolicError
 from mathverify.ir import Const, FunctionApp, Var, free_variables
+from mathverify.normform import NormMemo
 from mathverify.numeric import NumericConfig, eval_expr
 from mathverify.parser import parse, tokenize
 from mathverify.symbolic import (
@@ -357,9 +358,9 @@ def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
     expansions = []
     real_simplify, real_expand = symbolic.simplify, symbolic.expand
 
-    def recording_simplify(expr, config=None):
+    def recording_simplify(expr, config=None, memo=None):
         calls[-1].append((config.mode, expr))
-        return real_simplify(expr, config)
+        return real_simplify(expr, config, memo)
 
     def recording_expand(expr, **kw):
         expansions[-1].append(expr)
@@ -377,6 +378,37 @@ def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
         assert len(set(expansions[-1])) == len(expansions[-1]), rid
     assert sum(map(len, calls)) > 90
     assert any(len(e) == 2 for e in expansions)
+
+
+# Exhausted budgets (the smallest stop in the rules or the Bessel pass,
+# the others part way through normalization) and the default.
+_SWEEP_BUDGETS = (1, 4, 10, 25, 61, 97, 140, 199, 262, 331, 418, 500_000)
+
+
+def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
+    """verify_symbolic shares one NormMemo across a formula's candidates.
+    The outcomes, steps included, must be those of a fresh memo per
+    candidate and of no memo at all, on every budget of the sweep."""
+    equations = _corpus_equations(tables, mini_corpus)
+    real_simplify = symbolic.simplify
+
+    def sweep(new_memo):
+        if new_memo is not None:
+            monkeypatch.setattr(symbolic, "simplify", lambda expr, config=None, memo=None:
+                                real_simplify(expr, config, new_memo()))
+        out = {}
+        for budget in _SWEEP_BUDGETS:
+            config = default_config(tables, rewrite_step_budget=budget)
+            for rid, rel, domains in equations:
+                out[budget, rid] = _fields(verify_symbolic(rel, domains, config))
+        return out
+
+    shared = sweep(None)
+    assert sweep(NormMemo) == shared
+    assert sweep(lambda: None) == shared
+    exhausted = [key for key, fields in shared.items() if fields[3] == key[0] + 1]
+    assert len({budget for budget, _ in exhausted}) >= 8
+    assert sum(fields[0] == CLASS_ZERO for fields in shared.values()) > 200
 
 
 # --- rule index ---

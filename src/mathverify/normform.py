@@ -78,6 +78,8 @@ BESSEL_FAMILIES = frozenset({"bessel_j", "bessel_y", "bessel_i", "bessel_k"})
 _MAX_GAMMA_SHIFT = 32
 _MAX_HYPER_UNROLL = 12
 _MAX_BIGOP_UNROLL = 64
+# The default bound on exact integer powers of sums (`NormContext`).
+POWER_CAP = 64
 
 
 class NormMemo:
@@ -88,14 +90,13 @@ class NormMemo:
     keeps its own ticks (those spent outside nested `canon` computations)
     and the closure of the `canon` keys its computation touched, so that
     a context reusing it can charge what computing it afresh would cost
-    (`NormContext.charge`).  Results depend on the power cap, so one memo
-    serves contexts of one cap only.  Nothing in it depends on a step
-    budget or on the order in which contexts fill it."""
+    (`NormContext.charge`).  Results depend on the power cap, so a memo
+    serves contexts of the default cap, `POWER_CAP`, only.  Nothing in it
+    depends on a step budget or on the order in which contexts fill it."""
 
-    __slots__ = ("power_cap", "norms", "canons")
+    __slots__ = ("norms", "canons")
 
-    def __init__(self, power_cap: int = 64):
-        self.power_cap = power_cap
+    def __init__(self):
         # node -> (num items, den items, own ticks, canon closure)
         self.norms: dict[Expr, tuple] = {}
         # key -> (canonical IR, own ticks, canon closure including key)
@@ -122,10 +123,10 @@ class NormContext:
     __slots__ = ("budget", "steps", "power_cap", "memo", "_canon_memo",
                  "_canon_ticks", "_touched")
 
-    def __init__(self, budget: int = 200_000, power_cap: int = 64,
+    def __init__(self, budget: int = 200_000, power_cap: int = POWER_CAP,
                  memo: Optional[NormMemo] = None):
-        if memo is not None and memo.power_cap != power_cap:
-            raise ValueError("a NormMemo serves contexts of one power cap")
+        if memo is not None and power_cap != POWER_CAP:
+            raise ValueError("a NormMemo serves contexts of the default power cap")
         self.budget = budget
         self.steps = 0
         self.power_cap = power_cap

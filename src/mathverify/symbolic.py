@@ -44,6 +44,7 @@ from .ir import (
 )
 from .normform import (
     BESSEL_FAMILIES,
+    POWER_CAP,
     NormContext,
     NormMemo,
     RatForm,
@@ -433,7 +434,7 @@ def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
 
 # --- expansion and conversion preprocessors ---
 
-def expand(expr: Expr, *, power_cap: int = 64, budget: int = 500_000) -> Expr:
+def expand(expr: Expr, *, power_cap: int = POWER_CAP, budget: int = 500_000) -> Expr:
     """Distribute products over sums and integer powers of sums; the
     result is a flattened, collected sum in canonical order."""
     from .normform import norm_plain
@@ -673,7 +674,7 @@ def _classify(rf: RatForm, target: str, steps: int) -> SymbolicOutcome:
 
 
 def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
-             memo: Optional[NormMemo] = None) -> tuple[SymbolicOutcome, Optional[Expr]]:
+             memo: Optional[NormMemo] = None) -> tuple[SymbolicOutcome, Expr]:
     """Normalize one expression and classify the result against the
     configured target (0 for differences, 1 for quotients).  The second
     element is the residual: the normal form as IR, or ``expr`` when
@@ -681,9 +682,7 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
 
     ``memo`` shares normal forms with earlier calls on the candidates of
     the same formula; ``steps_used`` counts what a fresh normalization
-    would, whatever the memo reused.  A caller that shares one reads only
-    the outcomes, so with a memo the residual is None unless
-    normalization stopped."""
+    would, whatever the memo reused."""
     config = config or SimplifyConfig()
     ctx = NormContext(budget=config.rewrite_step_budget, memo=memo)
     try:
@@ -703,7 +702,7 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
             expr,
         )
     outcome = _classify(rf, config.mode, rule_steps + ctx.steps)
-    return outcome, (emit(rf) if memo is None else None)
+    return outcome, emit(rf)
 
 
 def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,

@@ -15,6 +15,7 @@ from mathverify.errors import SymbolicError
 from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
     ONE_POLY,
+    POWER_CAP,
     NormContext,
     NormMemo,
     _exact_rational_pow,
@@ -255,6 +256,7 @@ def test_memo_keeps_results_and_steps(trees, budget):
             _canon_then_norm(t, u, NormContext(budget))
 
 
-def test_memo_serves_one_power_cap():
+def test_memo_serves_the_default_power_cap_only():
+    NormContext(power_cap=POWER_CAP, memo=NormMemo())
     with pytest.raises(ValueError):
-        NormContext(power_cap=8, memo=NormMemo(power_cap=64))
+        NormContext(power_cap=POWER_CAP // 2, memo=NormMemo())

@@ -175,7 +175,10 @@ def differentiate(expr: Expr, var: str) -> Optional[Expr]:
 
 def resolve_derivatives(expr: Expr) -> Expr:
     """Replace Derivative nodes with explicit derivatives where rules
-    exist; unresolved nodes stay in the tree."""
+    exist; unresolved nodes stay in the tree.  A tree with no Derivative
+    node comes back itself."""
+    if Derivative not in ir.heads(expr):
+        return expr
     if isinstance(expr, Derivative):
         operand = resolve_derivatives(expr.operand)
         current: Expr = operand

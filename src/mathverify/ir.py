@@ -11,17 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Iterator, Optional
 
 
 class Expr:
     """Base class for all IR expression nodes.
 
-    Every node memoizes its hash and its `sort_key` in two slots, filled
-    on first use.  They are not dataclass fields, so equality, ``repr``
-    and pickling see only the fields."""
+    Every node memoizes its hash, its `sort_key` and its `heads` in three
+    slots, filled on first use.  They are not dataclass fields, so
+    equality, ``repr`` and pickling see only the fields."""
 
-    __slots__ = ("_hash", "_sort_key")
+    __slots__ = ("_hash", "_sort_key", "_heads")
 
 
 def _node(cls):
@@ -165,7 +166,7 @@ def num(value) -> Number:
 def add(*terms: Expr) -> Expr:
     """Flattened n-ary sum with numeric folding."""
     flat: list[Expr] = []
-    acc = Fraction(0)
+    acc = None  # the sum of the Number terms, once there is one
     for t in terms:
         if isinstance(t, Add):
             inner = t.terms
@@ -173,10 +174,10 @@ def add(*terms: Expr) -> Expr:
             inner = (t,)
         for u in inner:
             if isinstance(u, Number):
-                acc += u.value
+                acc = u.value if acc is None else acc + u.value
             else:
                 flat.append(u)
-    if acc != 0:
+    if acc:
         flat.append(Number(acc))
     if not flat:
         return ZERO
@@ -188,7 +189,7 @@ def add(*terms: Expr) -> Expr:
 def mul(*factors: Expr) -> Expr:
     """Flattened n-ary product with numeric folding."""
     flat: list[Expr] = []
-    acc = Fraction(1)
+    acc = None  # the product of the Number factors, once there is one
     for f in factors:
         if isinstance(f, Mul):
             inner = f.factors
@@ -196,15 +197,16 @@ def mul(*factors: Expr) -> Expr:
             inner = (f,)
         for u in inner:
             if isinstance(u, Number):
-                acc *= u.value
+                acc = u.value if acc is None else acc * u.value
             else:
                 flat.append(u)
-    if acc == 0:
-        return ZERO
-    if acc == -1 and len(flat) == 1:
-        return neg(flat[0])
-    if acc != 1:
-        flat.insert(0, Number(acc))
+    if acc is not None:
+        if acc == 0:
+            return ZERO
+        if acc == -1 and len(flat) == 1:
+            return neg(flat[0])
+        if acc != 1:
+            flat.insert(0, Number(acc))
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -333,35 +335,84 @@ def _collect_free(expr: Expr, bound: frozenset[str], out: set[str]) -> None:
         _collect_free(c, bound, out)
 
 
+def _same(new: tuple, old: tuple) -> bool:
+    return all(map(is_, new, old))
+
+
 def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
     """Rebuild ``expr`` from ``fn`` applied to each direct child.
 
-    Sums, products, powers and negations go through the smart
+    When ``fn`` returns every child itself (``is``), the result is
+    ``expr`` itself, so a pass that changes nothing in a subtree hands
+    back the very nodes it was given, with their memoized hashes.
+    Otherwise sums, products, powers and negations go through the smart
     constructors, so the result keeps their invariants; absent BigOp
     bounds stay absent and leaves come back unchanged."""
     if isinstance(expr, (Number, Const, Var)):
         return expr
     if isinstance(expr, Add):
-        return add(*map(fn, expr.terms))
+        terms = tuple(map(fn, expr.terms))
+        return expr if _same(terms, expr.terms) else add(*terms)
     if isinstance(expr, Mul):
-        return mul(*map(fn, expr.factors))
+        factors = tuple(map(fn, expr.factors))
+        return expr if _same(factors, expr.factors) else mul(*factors)
     if isinstance(expr, Pow):
-        return power(fn(expr.base), fn(expr.exponent))
+        base, exponent = fn(expr.base), fn(expr.exponent)
+        if base is expr.base and exponent is expr.exponent:
+            return expr
+        return power(base, exponent)
     if isinstance(expr, Neg):
-        return neg(fn(expr.operand))
+        operand = fn(expr.operand)
+        return expr if operand is expr.operand else neg(operand)
     if isinstance(expr, FunctionApp):
-        return FunctionApp(expr.func, tuple(map(fn, expr.params)), tuple(map(fn, expr.args)))
+        params, args = tuple(map(fn, expr.params)), tuple(map(fn, expr.args))
+        if _same(params, expr.params) and _same(args, expr.args):
+            return expr
+        return FunctionApp(expr.func, params, args)
     if isinstance(expr, Derivative):
-        return Derivative(fn(expr.operand), expr.var, expr.order)
+        operand = fn(expr.operand)
+        if operand is expr.operand:
+            return expr
+        return Derivative(operand, expr.var, expr.order)
     if isinstance(expr, BigOp):
-        return BigOp(
-            expr.kind,
-            expr.var,
-            fn(expr.lo) if expr.lo is not None else None,
-            fn(expr.hi) if expr.hi is not None else None,
-            fn(expr.body),
-        )
+        lo = fn(expr.lo) if expr.lo is not None else None
+        hi = fn(expr.hi) if expr.hi is not None else None
+        body = fn(expr.body)
+        if lo is expr.lo and hi is expr.hi and body is expr.body:
+            return expr
+        return BigOp(expr.kind, expr.var, lo, hi, body)
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+def head(expr: Expr):
+    """What a rewrite pattern must share with a subject to match it: the
+    function name of a `FunctionApp`, the node type otherwise."""
+    return expr.func if isinstance(expr, FunctionApp) else type(expr)
+
+
+# The heads of a node of each non-FunctionApp type, alone.
+_TYPE_HEADS = {cls: frozenset((cls,)) for cls in
+               (Number, Const, Var, Add, Mul, Pow, Neg, Derivative, BigOp)}
+
+
+def heads(expr: Expr) -> frozenset:
+    """The `head` of every node in ``expr``, computed once per node.  A
+    pass that acts only on some heads can hand back a subtree whose heads
+    miss them all."""
+    try:
+        return expr._heads
+    except AttributeError:
+        pass
+    own = head(expr)
+    out = _TYPE_HEADS.get(own) or frozenset((own,))
+    for child in children(expr):
+        part = heads(child)
+        if out <= part:
+            out = part  # share the child's set
+        elif not part <= out:
+            out = out | part
+    object.__setattr__(expr, "_heads", out)
+    return out
 
 
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -350,12 +350,6 @@ def _match_commutative(pattern_children: list[Expr], subject_children: list[Expr
     return False
 
 
-def _head(expr: Expr):
-    """What a pattern must share with a subject to match it: the function
-    name of a `FunctionApp`, the node type otherwise."""
-    return expr.func if isinstance(expr, FunctionApp) else type(expr)
-
-
 # id(rules) -> (rules, index); holding the rules keeps their id unique.
 _RULE_INDEXES: dict[int, tuple[Sequence[RewriteRule], dict]] = {}
 
@@ -371,13 +365,13 @@ def _rule_index(rules: Sequence[RewriteRule]) -> dict:
     index: dict = {None: []}
     for rule in rules:
         if not _is_placeholder(rule.pattern):
-            index[_head(rule.pattern)] = []
+            index[ir.head(rule.pattern)] = []
     for rule in rules:
         if _is_placeholder(rule.pattern):
             for bucket in index.values():
                 bucket.append(rule)
         else:
-            index[_head(rule.pattern)].append(rule)
+            index[ir.head(rule.pattern)].append(rule)
     if len(_RULE_INDEXES) >= 16:
         _RULE_INDEXES.clear()
     _RULE_INDEXES[id(rules)] = (rules, index)
@@ -385,9 +379,16 @@ def _rule_index(rules: Sequence[RewriteRule]) -> dict:
 
 
 class _Rewriter:
+    """Bottom-up rewriting to a fixpoint per node.  `rewrite` hands back
+    its input itself wherever no rule fired in it: a subtree whose
+    `ir.heads` miss every pattern head is not even visited, unless a bare
+    placeholder rule, which matches any node, is in the table."""
+
     def __init__(self, rules: Sequence[RewriteRule],
                  domains: Sequence[VariableDomain], budget: int):
         self.index = _rule_index(rules)
+        # None when a bare placeholder rule can fire at any node.
+        self.pattern_heads = None if self.index[None] else self.index.keys() - {None}
         self.domains = domains
         self.budget = budget
         self.steps = 0
@@ -399,7 +400,7 @@ class _Rewriter:
 
     def _try_rules(self, expr: Expr) -> Optional[Expr]:
         index = self.index
-        for rule in index.get(_head(expr), index[None]):
+        for rule in index.get(ir.head(expr), index[None]):
             binding: dict[str, Expr] = {}
             if not match_pattern(rule.pattern, expr, binding):
                 continue
@@ -415,6 +416,9 @@ class _Rewriter:
         return None
 
     def rewrite(self, expr: Expr) -> Expr:
+        if self.pattern_heads is not None \
+                and self.pattern_heads.isdisjoint(ir.heads(expr)):
+            return expr
         rebuilt = ir.map_children(expr, self.rewrite)
         for _ in range(32):
             replaced = self._try_rules(rebuilt)
@@ -434,11 +438,13 @@ def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
 
 # --- expansion and conversion preprocessors ---
 
-def expand(expr: Expr, *, power_cap: int = POWER_CAP, budget: int = 500_000) -> Expr:
+def expand(expr: Expr, *, power_cap: int = POWER_CAP, budget: int = 500_000,
+           memo: Optional[NormMemo] = None) -> Expr:
     """Distribute products over sums and integer powers of sums; the
-    result is a flattened, collected sum in canonical order."""
+    result is a flattened, collected sum in canonical order.  ``memo``
+    shares normal forms as in `simplify`."""
     from .normform import norm_plain
-    ctx = NormContext(budget=budget, power_cap=power_cap)
+    ctx = NormContext(budget=budget, power_cap=power_cap, memo=memo)
     return emit(norm_plain(expr, ctx))
 
 
@@ -587,7 +593,10 @@ def to_hypergeometric_form(expr: Expr) -> Expr:
 
 def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
     """Rewrite Bessel-family terms whose orders differ by integers onto
-    the two lowest lattice orders via the three-term recurrences."""
+    the two lowest lattice orders via the three-term recurrences.  A tree
+    with no Bessel-family function comes back itself."""
+    if BESSEL_FAMILIES.isdisjoint(ir.heads(expr)):
+        return expr
     groups: dict[tuple[str, Expr], list[Expr]] = {}
     for node in ir.walk(expr):
         if isinstance(node, FunctionApp) and node.func in BESSEL_FAMILIES \
@@ -740,7 +749,8 @@ def verify_symbolic(
     that an earlier preprocessor already produced is not simplified
     again: ``simplify`` is deterministic, so the repeat could neither win
     nor be more informative than its first occurrence.  The candidates
-    share one `NormMemo`, which ends with the call."""
+    and the expansion of both sides share one `NormMemo`, which ends with
+    the call."""
     config = config or SimplifyConfig()
     if rel.kind not in (ir.REL_EQ, ir.REL_EQUIV):
         raise NonEquationRelation(
@@ -757,14 +767,15 @@ def verify_symbolic(
         attempts.append((dataclasses.replace(
             config, mode=MODE_QUOTIENT, assumptions=assumptions), ir.div, CLASS_ONE))
 
+    memo = NormMemo()
+
     @functools.cache
     def expanded() -> Optional[tuple[Expr, Expr]]:
         try:
-            return expand(rel.lhs), expand(rel.rhs)
+            return expand(rel.lhs, memo=memo), expand(rel.rhs, memo=memo)
         except (BudgetExceeded, SymbolicError):
             return None
 
-    memo = NormMemo()
     tried: set[tuple[str, Expr]] = set()
     best: Optional[SymbolicOutcome] = None
     for pre in config.preprocessors:

@@ -1,8 +1,11 @@
-"""Tree rebuilding through ``ir.map_children`` and its callers, and the
-hash and sort key each node memoizes."""
+"""Tree rebuilding through ``ir.map_children`` and its callers, the
+smart constructors' folding, and the hash, sort key and heads each node
+memoizes."""
 
 import dataclasses
 import pickle
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -164,3 +167,132 @@ def test_memoized_hash_and_sort_key_match_the_fields(expr):
 def test_sort_key_rejects_non_expressions():
     with pytest.raises(TypeError):
         ir.sort_key(ir.Relation(ir.REL_EQ, ir.ONE, ir.ONE))
+
+
+# --- passes hand back what they cannot change ---
+
+_X_SQUARED = ir.power(_X, ir.num(2))
+_ONE_OF_EACH = {
+    "Number": ir.num(3),
+    "Const": Const(ir.PI),
+    "Var": _X,
+    "Add": ir.add(_X, ir.num(1)),
+    "Mul": ir.mul(ir.num(2), _X),
+    "Pow": _X_SQUARED,
+    "Neg": ir.neg(_X),
+    "FunctionApp": FunctionApp("bessel_j", (ir.HALF,), (_X,)),
+    "Derivative": Derivative(_X_SQUARED, "x", 2),
+    "BigOp": BigOp(ir.OP_SUM, "k", ir.ONE, None, Var("k")),
+    "BigOp_no_bounds": BigOp(ir.OP_INT, "t", None, None, _X_SQUARED),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_OF_EACH))
+def test_map_children_hands_back_its_input_when_no_child_changes(kind):
+    expr = _ONE_OF_EACH[kind]
+    assert ir.map_children(expr, lambda c: c) is expr
+    # An equal but new child is a change: the node is rebuilt, equal.
+    rebuilt = ir.map_children(expr, _twin)
+    assert rebuilt == expr
+    assert (rebuilt is expr) == (not ir.children(expr))
+
+
+def _reference_add(*terms):
+    """``ir.add`` as it was, folding in a Fraction(0) accumulator."""
+    flat, acc = [], Fraction(0)
+    for t in terms:
+        for u in (t.terms if isinstance(t, ir.Add) else (t,)):
+            if isinstance(u, ir.Number):
+                acc += u.value
+            else:
+                flat.append(u)
+    if acc != 0:
+        flat.append(ir.Number(acc))
+    if not flat:
+        return ir.ZERO
+    return flat[0] if len(flat) == 1 else ir.Add(tuple(flat))
+
+
+def _reference_mul(*factors):
+    """``ir.mul`` as it was, folding in a Fraction(1) accumulator."""
+    flat, acc = [], Fraction(1)
+    for f in factors:
+        for u in (f.factors if isinstance(f, ir.Mul) else (f,)):
+            if isinstance(u, ir.Number):
+                acc *= u.value
+            else:
+                flat.append(u)
+    if acc == 0:
+        return ir.ZERO
+    if acc == -1 and len(flat) == 1:
+        return ir.neg(flat[0])
+    if acc != 1:
+        flat.insert(0, ir.Number(acc))
+    if not flat:
+        return ir.ONE
+    return flat[0] if len(flat) == 1 else ir.Mul(tuple(flat))
+
+
+_Y = Var("y")
+_FOLD_CASES = {
+    "no_number": (_X, _Y, ir.add(_X, _Y)),
+    "one_number": (_X, ir.num(3), _Y),
+    "only_a_number": (ir.HALF,),
+    "cancel_to_zero": (ir.num(2), _X, ir.num(-2)),
+    "numbers_cancel_to_one": (ir.num(2), _X, ir.HALF),
+    "minus_one_and_one_factor": (ir.MINUS_ONE, _X),
+    "minus_one_from_two_numbers": (ir.num(2), Var("z"), ir.num(Fraction(-1, 2))),
+    "zero_factor": (_X, ir.ZERO, _Y),
+    "nested": (ir.add(_X, ir.num(1)), ir.mul(ir.num(3), _Y), ir.num(-1)),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_lazy_accumulators_fold_as_the_fraction_reference(case):
+    operands = _FOLD_CASES[case]
+    assert ir.add(*operands) == _reference_add(*operands)
+    assert ir.mul(*operands) == _reference_mul(*operands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exprs, max_size=4))
+def test_lazy_accumulators_on_random_operands(operands):
+    assert ir.add(*operands) == _reference_add(*operands)
+    assert ir.mul(*operands) == _reference_mul(*operands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+def test_heads_are_the_heads_of_every_node(expr):
+    expected = {ir.head(node) for node in ir.walk(expr)}
+    assert ir.heads(expr) == expected
+    assert ir.heads(expr) is ir.heads(expr)  # computed once
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs)
+def test_pickling_leaves_the_heads_memo_out(expr):
+    heads = ir.heads(expr)
+    state = expr.__getstate__()
+    assert len(state) == len(dataclasses.fields(expr))
+    clone = pickle.loads(pickle.dumps(expr))
+    assert clone == expr
+    assert not hasattr(clone, "_heads")
+    assert ir.heads(clone) == heads
+
+
+def test_heads_of_a_tree_deeper_than_the_recursion_limit():
+    # ir.heads raises RecursionError, which verify_record turns into an
+    # internal_error outcome, and leaves no memo behind on the way out.
+    deep = _X
+    for _ in range(2 * sys.getrecursionlimit()):
+        deep = FunctionApp("sin", (), (deep,))
+    for _ in range(2):
+        with pytest.raises(RecursionError):
+            ir.heads(deep)
+        assert not hasattr(deep, "_heads")
+    shallow = deep
+    for _ in range(3 * sys.getrecursionlimit() // 2):
+        shallow = shallow.args[0]
+    assert ir.heads(shallow) == {"sin", Var}

@@ -413,9 +413,33 @@ def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
 
 # --- rule index ---
 
+def _rebuild_children(node, fn):
+    """``ir.map_children`` as it was before it handed back unchanged
+    nodes: every non-leaf node is built anew."""
+    if isinstance(node, ir.Add):
+        return ir.add(*map(fn, node.terms))
+    if isinstance(node, ir.Mul):
+        return ir.mul(*map(fn, node.factors))
+    if isinstance(node, ir.Pow):
+        return ir.power(fn(node.base), fn(node.exponent))
+    if isinstance(node, ir.Neg):
+        return ir.neg(fn(node.operand))
+    if isinstance(node, FunctionApp):
+        return FunctionApp(node.func, tuple(map(fn, node.params)), tuple(map(fn, node.args)))
+    if isinstance(node, ir.Derivative):
+        return ir.Derivative(fn(node.operand), node.var, node.order)
+    if isinstance(node, ir.BigOp):
+        return ir.BigOp(node.kind, node.var,
+                        fn(node.lo) if node.lo is not None else None,
+                        fn(node.hi) if node.hi is not None else None,
+                        fn(node.body))
+    return node
+
+
 def _linear_apply_rules(expr, rules, domains=(), budget=10_000):
-    """``apply_rules`` as it was before rules were indexed by head: every
-    rule is tried at every node, in table order."""
+    """``apply_rules`` as it was before rules were indexed by head and
+    before unchanged subtrees were handed back: every rule is tried at
+    every node, in table order, and every node is rebuilt."""
     steps = 0
 
     def try_rules(node):
@@ -434,12 +458,12 @@ def _linear_apply_rules(expr, rules, domains=(), budget=10_000):
         return None
 
     def rewrite(node):
-        rebuilt = ir.map_children(node, rewrite)
+        rebuilt = _rebuild_children(node, rewrite)
         for _ in range(32):
             replaced = try_rules(rebuilt)
             if replaced is None:
                 return rebuilt
-            rebuilt = ir.map_children(replaced, rewrite)
+            rebuilt = _rebuild_children(replaced, rewrite)
         return rebuilt
 
     return rewrite(expr), steps
@@ -533,6 +557,132 @@ def test_rule_index_matches_linear_scan_on_random_trees(tables, expr):
     for rules in _rule_orders(tables):
         assert _rewritten(symbolic.apply_rules, expr, rules) == \
             _rewritten(_linear_apply_rules, expr, rules)
+
+
+# --- rewriting hands back what no rule can change ---
+
+_POSITIVE_X = (VariableDomain("x", "real", interval=(Fraction(0), True, None, False)),
+               VariableDomain("y", "real"))
+
+
+def _filled_pattern(pattern, subtrees):
+    """``pattern`` with its placeholders replaced by ``subtrees``."""
+    names = sorted(n for n in free_variables(pattern) if symbolic._is_placeholder(Var(n)))
+    return ir.substitute(pattern, dict(zip(names, subtrees)))
+
+
+@st.composite
+def _trees_from_rule_heads(draw, rules):
+    """Trees built from the pattern heads of ``rules`` (filled patterns,
+    so rules fire) and from other heads, over numbers, constants and
+    variables."""
+    patterns = [r.pattern for r in rules if not symbolic._is_placeholder(r.pattern)]
+
+    def extend(children):
+        return st.one_of(
+            st.builds(_filled_pattern, st.sampled_from(patterns),
+                      st.lists(children, min_size=2, max_size=2)),
+            st.lists(children, min_size=1, max_size=3).map(lambda t: ir.add(*t)),
+            st.lists(children, min_size=1, max_size=3).map(lambda f: ir.mul(*f)),
+            st.builds(ir.power, children, st.sampled_from((ir.num(2), ir.HALF))),
+            children.map(ir.neg),
+            st.builds(lambda func, arg: FunctionApp(func, (), (arg,)),
+                      st.sampled_from(("gamma", "foo", "sin")), children),
+        )
+
+    return draw(st.recursive(_rule_leaves, extend, max_leaves=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from(((), _POSITIVE_X)),
+       st.sampled_from((1, 2, 10_000)))
+def test_rewriter_matches_the_reference_on_trees_from_rule_heads(
+        tables, data, bare_placeholder, domains, budget):
+    # With a bare placeholder rule in the table no subtree may be skipped.
+    rules = tables.rewrite_rules + ((_WILDCARD,) if bare_placeholder else ())
+    expr = data.draw(_trees_from_rule_heads(rules))
+    got = _rewritten(symbolic.apply_rules, expr, rules, domains, budget)
+    assert got == _rewritten(_linear_apply_rules, expr, rules, domains, budget)
+    if got != "budget exceeded" and got[1] == 0:
+        assert got[0] is expr
+
+
+def test_bare_placeholder_turns_the_subtree_skip_off(tables):
+    tree = ir.add(Var("x"), ir.num(250))  # no bundled pattern head in it
+    bundled = tables.rewrite_rules
+    assert symbolic._Rewriter(bundled, (), 10).pattern_heads is not None
+    assert symbolic.apply_rules(tree, bundled)[0] is tree
+    assert symbolic._Rewriter(bundled + (_WILDCARD,), (), 10).pattern_heads is None
+    # 250 -> 150 -> 50: the bare placeholder reaches a head no pattern has.
+    expected = (ir.add(Var("x"), ir.num(50)), 2)
+    assert symbolic.apply_rules(tree, bundled + (_WILDCARD,)) == expected
+    assert _linear_apply_rules(tree, bundled + (_WILDCARD,)) == expected
+
+
+def test_firing_that_brings_in_new_heads_is_rewritten_further(tables):
+    # The tan node's subtree has no Pow and no sin; the replacement has
+    # both, and the Pythagorean rule must fire inside it.
+    rules = symbolic.load_rewrite_rules(
+        r"\tan@{var1} -> \frac{\sin@{var1}^2}{\sin@{var1}\cos@{var1}}" "\n"
+        r"\sin@{var1}^2 -> 1 - \cos@{var1}^2",
+        tables.macro_table, tables.translation_table)
+    expr = tx(r"\tan@{x} + y", tables)
+    assert ir.heads(expr) == {"tan", Var, ir.Add}
+    expected = tx(r"\frac{1 - \cos@{x}^2}{\sin@{x}\cos@{x}} + y", tables)
+    assert symbolic.apply_rules(expr, rules) == (expected, 2)
+    assert _linear_apply_rules(expr, rules) == (expected, 2)
+    # The bundled table: tan -> sin/cos, then sin^2 -> 1 - cos^2.
+    expr = tx(r"\tan@{x} \sin@{x}^2", tables)
+    expected = tx(r"\frac{\sin@{x}}{\cos@{x}} (1 - \cos@{x}^2)", tables)
+    assert symbolic.apply_rules(expr, tables.rewrite_rules) == (expected, 2)
+
+
+def test_failed_condition_hands_back_the_input(tables):
+    expr = tx(r"\sqrt{x^2} + \sin@{y}", tables)
+    out, steps = symbolic.apply_rules(expr, tables.rewrite_rules)
+    assert out is expr and steps == 0
+    nonneg = (VariableDomain("x", "real", interval=(Fraction(0), False, None, False)),)
+    assert symbolic.apply_rules(expr, tables.rewrite_rules, nonneg) == \
+        (tx(r"x + \sin@{y}", tables), 1)
+
+
+def test_passes_hand_back_trees_they_cannot_change(tables):
+    from mathverify.calculus import resolve_derivatives
+    from mathverify.normform import NormContext
+
+    expr = tx(r"\BesselJ{\nu}@{z} + \frac{\sin@{x}}{\GammaFn@{x+1}}", tables)
+    assert resolve_derivatives(expr) is expr
+    plain = tx(r"\frac{\sin@{x}}{\GammaFn@{x+1}} + x^2", tables)
+    ctx = NormContext()
+    assert symbolic.reduce_bessel_orders(plain, ctx) is plain
+    assert ctx.steps == 0
+    # Only the changed branch is rebuilt; its sibling is the same object.
+    wronskian = ir.add(plain, ir.Derivative(ir.power(Var("x"), ir.num(3)), "x"))
+    resolved = resolve_derivatives(wronskian)
+    assert resolved == ir.add(plain, ir.mul(ir.num(3), ir.power(Var("x"), ir.num(2))))
+    assert any(term is plain.terms[0] for term in resolved.terms)
+
+
+def test_expand_with_the_formula_memo_matches_a_fresh_expand(tables, mini_corpus):
+    # expand shares the formula's NormMemo; its results, and the budgets
+    # at which it runs out, are those of an expand without one.
+    checked = 0
+    for rid, rel, domains in _corpus_equations(tables, mini_corpus)[:-1]:
+        memo = NormMemo()
+        simplify(ir.sub(rel.lhs, rel.rhs), default_config(tables), memo)
+        for side in (rel.lhs, rel.rhs):
+            for budget in (1, 3, 10, 40, 500_000):
+                try:
+                    fresh = expand(side, budget=budget)
+                except (BudgetExceeded, SymbolicError) as exc:
+                    fresh = type(exc)
+                try:
+                    shared = expand(side, budget=budget, memo=memo)
+                except (BudgetExceeded, SymbolicError) as exc:
+                    shared = type(exc)
+                assert shared == fresh, (rid, budget)
+                checked += 1
+    assert checked > 300
 
 
 # --- rewrite rule self-validation ---

@@ -78,7 +78,7 @@ BESSEL_FAMILIES = frozenset({"bessel_j", "bessel_y", "bessel_i", "bessel_k"})
 _MAX_GAMMA_SHIFT = 32
 _MAX_HYPER_UNROLL = 12
 _MAX_BIGOP_UNROLL = 64
-# The default bound on exact integer powers of sums (`NormContext`).
+# The largest integer power of a sum that `poly_pow` expands.
 POWER_CAP = 64
 
 
@@ -90,9 +90,8 @@ class NormMemo:
     keeps its own ticks (those spent outside nested `canon` computations)
     and the closure of the `canon` keys its computation touched, so that
     a context reusing it can charge what computing it afresh would cost
-    (`NormContext.charge`).  Results depend on the power cap, so a memo
-    serves contexts of the default cap, `POWER_CAP`, only.  Nothing in it
-    depends on a step budget or on the order in which contexts fill it."""
+    (`NormContext.charge`).  Nothing in it depends on a step budget or on
+    the order in which contexts fill it."""
 
     __slots__ = ("norms", "canons")
 
@@ -120,16 +119,12 @@ class NormContext:
     budget runs out do not depend on what the memo held.  A context that
     raised is not used again."""
 
-    __slots__ = ("budget", "steps", "power_cap", "memo", "_canon_memo",
-                 "_canon_ticks", "_touched")
+    __slots__ = ("budget", "steps", "memo", "_canon_memo", "_canon_ticks",
+                 "_touched")
 
-    def __init__(self, budget: int = 200_000, power_cap: int = POWER_CAP,
-                 memo: Optional[NormMemo] = None):
-        if memo is not None and power_cap != POWER_CAP:
-            raise ValueError("a NormMemo serves contexts of the default power cap")
+    def __init__(self, budget: int = 200_000, memo: Optional[NormMemo] = None):
         self.budget = budget
         self.steps = 0
-        self.power_cap = power_cap
         self.memo = memo
         # canon key -> canonical IR, for every key this context charged
         self._canon_memo: dict[Expr, Expr] = {}
@@ -359,8 +354,8 @@ def poly_mul(p: Poly, q: Poly, ctx: NormContext) -> Poly:
 def poly_pow(p: Poly, n: int, ctx: NormContext) -> Poly:
     if n < 0:
         raise ValueError("poly_pow needs a nonnegative exponent")
-    if n > ctx.power_cap:
-        raise BudgetExceeded(f"power {n} exceeds the expansion cap {ctx.power_cap}")
+    if n > POWER_CAP:
+        raise BudgetExceeded(f"power {n} exceeds the expansion cap {POWER_CAP}")
     result = dict(ONE_POLY)
     base = p
     while n:

@@ -358,17 +358,31 @@ def _worker_verify(record_json: str) -> Outcome:
     return verify_record(record, _WORKER_STATE["tables"], _WORKER_STATE["options"])
 
 
+def _chunk_size(n_records: int, jobs: int) -> int:
+    """Records per pool task: about eight tasks per worker, so each task
+    and its result are one message each, and the last tasks still spread
+    the load over the workers."""
+    return max(1, n_records // (8 * jobs))
+
+
 def _run_parallel(records: Sequence[FormulaRecord], tables: Tables,
                   options: PipelineOptions) -> list[Outcome]:
-    """Verify ``records`` in ``options.jobs`` worker processes that use
-    the caller's ``tables``: a forked worker inherits them, a spawned one
-    unpickles them."""
+    """Verify ``records`` in up to ``options.jobs`` worker processes that
+    use the caller's ``tables``: a forked worker inherits them, a spawned
+    one unpickles them.  Contiguous chunks of records go out as one task
+    each and come back as one list each, in record order; the pool starts
+    no more workers than there are chunks."""
+    if not records:
+        return []
+    size = _chunk_size(len(records), options.jobs)
+    n_chunks = -(-len(records) // size)
     with ProcessPoolExecutor(
-        max_workers=options.jobs,
+        max_workers=min(options.jobs, n_chunks),
         initializer=_worker_init,
         initargs=(tables, options),
     ) as pool:
-        return list(pool.map(_worker_verify, [r.to_json() for r in records]))
+        return list(pool.map(_worker_verify, [r.to_json() for r in records],
+                             chunksize=size))
 
 
 # --- rendering ---

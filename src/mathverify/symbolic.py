@@ -44,7 +44,6 @@ from .ir import (
 )
 from .normform import (
     BESSEL_FAMILIES,
-    POWER_CAP,
     NormContext,
     NormMemo,
     RatForm,
@@ -438,13 +437,13 @@ def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
 
 # --- expansion and conversion preprocessors ---
 
-def expand(expr: Expr, *, power_cap: int = POWER_CAP, budget: int = 500_000,
+def expand(expr: Expr, *, budget: int = 500_000,
            memo: Optional[NormMemo] = None) -> Expr:
     """Distribute products over sums and integer powers of sums; the
     result is a flattened, collected sum in canonical order.  ``memo``
     shares normal forms as in `simplify`."""
     from .normform import norm_plain
-    ctx = NormContext(budget=budget, power_cap=power_cap, memo=memo)
+    ctx = NormContext(budget=budget, memo=memo)
     return emit(norm_plain(expr, ctx))
 
 
@@ -456,9 +455,13 @@ def _genhyper(numerator: Sequence[Expr], denominator: Sequence[Expr], z: Expr) -
     )
 
 
-def _map_tree(expr: Expr, fn) -> Expr:
-    """Bottom-up structural map."""
-    return fn(ir.map_children(expr, lambda child: _map_tree(child, fn)))
+def _map_tree(expr: Expr, fn, converts: frozenset) -> Expr:
+    """Bottom-up structural map of ``fn``, which changes only nodes whose
+    `ir.head` is in ``converts``: a subtree whose heads miss them all
+    comes back itself, unvisited."""
+    if converts.isdisjoint(ir.heads(expr)):
+        return expr
+    return fn(ir.map_children(expr, lambda child: _map_tree(child, fn, converts)))
 
 
 _I = Const(ir.IMAGINARY_UNIT)
@@ -501,6 +504,13 @@ _EXPONENTIAL_FORMS = {
     "sech": lambda u: ir.div(ir.ONE, _cosh_form(u)),
     "coth": lambda u: ir.div(_cosh_form(u), _sinh_form(u)),
 }
+_EXPONENTIAL_HEADS = frozenset(_EXPONENTIAL_FORMS)
+
+# The heads `to_hypergeometric_form` converts: powers of e and six
+# functions.  A head its `convert` gains must be added here.
+_HYPERGEOMETRIC_HEADS = frozenset({
+    Pow, "bessel_j", "laguerre_poly", "legendre_poly", "jacobi_poly", "cheby_t", "erf",
+})
 
 
 def to_exponential_form(expr: Expr) -> Expr:
@@ -514,7 +524,7 @@ def to_exponential_form(expr: Expr) -> Expr:
                 return form(node.args[0])
         return node
 
-    return _map_tree(expr, convert)
+    return _map_tree(expr, convert, _EXPONENTIAL_HEADS)
 
 
 def to_hypergeometric_form(expr: Expr) -> Expr:
@@ -586,7 +596,7 @@ def to_hypergeometric_form(expr: Expr) -> Expr:
             )
         return node
 
-    return _map_tree(expr, convert)
+    return _map_tree(expr, convert, _HYPERGEOMETRIC_HEADS)
 
 
 # --- Bessel order-lattice reduction ---
@@ -664,7 +674,7 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
                 return hit
         return node
 
-    return _map_tree(expr, replace)
+    return _map_tree(expr, replace, BESSEL_FAMILIES)
 
 
 # --- simplification ---

@@ -6,7 +6,6 @@ against contexts without one."""
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from mathverify.errors import SymbolicError
 from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
     ONE_POLY,
-    POWER_CAP,
     NormContext,
     NormMemo,
     _exact_rational_pow,
@@ -254,9 +252,3 @@ def test_memo_keeps_results_and_steps(trees, budget):
         u = ir.add(ir.mul(t, trees[i - 1]), trees[i - 1], FunctionApp("sin", (), (t,)))
         assert _canon_then_norm(t, u, NormContext(budget, memo=memo)) == \
             _canon_then_norm(t, u, NormContext(budget))
-
-
-def test_memo_serves_the_default_power_cap_only():
-    NormContext(power_cap=POWER_CAP, memo=NormMemo())
-    with pytest.raises(ValueError):
-        NormContext(power_cap=POWER_CAP // 2, memo=NormMemo())

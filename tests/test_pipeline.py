@@ -1,5 +1,7 @@
 import difflib
 import json
+import multiprocessing
+import os
 import pickle
 import random
 from collections import Counter
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from mathverify import pipeline
 from mathverify.errors import ConfigParseError, MissingInputFile
 from mathverify.extraction import FormulaRecord, split_relations, write_corpus
 from mathverify.pipeline import (
@@ -257,6 +260,81 @@ def test_chains_with_empty_members_do_not_stop_a_report(tmp_path, report, mini_c
             [c.latex for c in split_relations(chain)]
     assert list(by_id.values()) == report.outcomes
     assert render_report(result)
+
+
+# --- records reach the pool workers in chunks ---
+
+DEEP = FormulaRecord("EF.999", "EF", "x = " + "(" * 400 + "x" + ")" * 400)
+
+
+def _run_chunked(records, tables, jobs, monkeypatch):
+    """``_run_parallel``'s outcomes and the worker counts its pools asked for."""
+    workers = []
+
+    class CountingPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    return pipeline._run_parallel(records, tables, PipelineOptions(jobs=jobs)), workers
+
+
+def _lines(outcomes):
+    return [o.to_json() for o in outcomes]
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+def test_parallel_chunks_return_the_serial_outcomes_in_order(tables, mini_corpus,
+                                                             monkeypatch, jobs, n):
+    records = list(mini_corpus[:n])
+    if n == 17:
+        records[8] = DEEP
+    serial = [verify_record(r, tables, PipelineOptions()) for r in records]
+    outcomes, workers = _run_chunked(records, tables, jobs, monkeypatch)
+    assert _lines(outcomes) == _lines(serial)
+    assert workers == [min(jobs, n)]  # never more workers than chunks
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_record_that_raises_mid_chunk_leaves_the_rest_of_its_chunk(tables, mini_corpus,
+                                                                   monkeypatch, jobs):
+    size = 3
+    records = [mini_corpus[i % len(mini_corpus)] for i in range(size * 8 * jobs)]
+    assert pipeline._chunk_size(len(records), jobs) == size
+    records[size + 1] = DEEP  # the middle of the second chunk
+    serial = [verify_record(r, tables, PipelineOptions()) for r in records]
+    outcomes, workers = _run_chunked(records, tables, jobs, monkeypatch)
+    assert _lines(outcomes) == _lines(serial)
+    assert [o.failure == "internal_error" for o in outcomes[size:2 * size]] == \
+        [False, True, False]
+    assert workers == [jobs]
+
+
+def test_empty_corpus_starts_no_pool(tables, monkeypatch):
+    assert _run_chunked([], tables, 2, monkeypatch) == ([], [])
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit a rebound module global")
+def test_workers_call_the_module_global_verify_record(tmp_path, monkeypatch):
+    # Wrappers installed on pipeline.verify_record (perfbench's latency
+    # timer and spans) must see every record, once, in the workers.
+    inner = pipeline.verify_record
+
+    def spooled(record, tables, options):
+        with open(tmp_path / f"seen-{os.getpid()}.txt", "a") as fh:
+            fh.write(record.id + "\n")
+        return inner(record, tables, options)
+
+    monkeypatch.setattr(pipeline, "verify_record", spooled)
+    result = run_pipeline(MINI, PipelineOptions(jobs=2))
+    spools = sorted(tmp_path.glob("seen-*.txt"))
+    assert 1 <= len(spools) <= 2
+    assert tmp_path / f"seen-{os.getpid()}.txt" not in spools
+    seen = Counter(line for path in spools for line in path.read_text().split())
+    assert sorted(seen.elements()) == [o.id for o in result.outcomes]
 
 
 def test_verify_record_structure(tables, mini_corpus):

@@ -10,7 +10,7 @@ from mathverify import ir, symbolic
 from mathverify.constraints import VariableDomain
 from mathverify.errors import BudgetExceeded, NonEquationRelation, SymbolicError
 from mathverify.ir import Const, FunctionApp, Var, free_variables
-from mathverify.normform import NormMemo
+from mathverify.normform import NormContext, NormMemo
 from mathverify.numeric import NumericConfig, eval_expr
 from mathverify.parser import parse, tokenize
 from mathverify.symbolic import (
@@ -81,7 +81,7 @@ def test_expand_difference_of_squares(tables):
 
 def test_expand_budget():
     with pytest.raises(BudgetExceeded):
-        expand(ir.power(ir.add(Var("x"), Var("y")), ir.num(300)), power_cap=64)
+        expand(ir.power(ir.add(Var("x"), Var("y")), ir.num(300)))
 
 
 # --- exponential form ---
@@ -661,6 +661,62 @@ def test_passes_hand_back_trees_they_cannot_change(tables):
     resolved = resolve_derivatives(wronskian)
     assert resolved == ir.add(plain, ir.mul(ir.num(3), ir.power(Var("x"), ir.num(2))))
     assert any(term is plain.terms[0] for term in resolved.terms)
+
+
+def _full_map_tree(expr, fn, converts):
+    """``symbolic._map_tree`` as it was before it skipped subtrees: ``fn``
+    is called on every node."""
+    return fn(ir.map_children(expr, lambda child: _full_map_tree(child, fn, converts)))
+
+
+def _converted(expr):
+    """``expr`` through the three passes built on ``symbolic._map_tree``."""
+    return (symbolic.to_exponential_form(expr), symbolic.to_hypergeometric_form(expr),
+            symbolic.reduce_bessel_orders(expr, NormContext()))
+
+
+def test_conversions_skip_trees_without_a_head_they_convert(tables, monkeypatch):
+    visited = []
+    map_children = ir.map_children
+    monkeypatch.setattr(ir, "map_children",
+                        lambda node, fn: visited.append(node) or map_children(node, fn))
+    plain = tx(r"\GammaFn@{x+1} (x y + 2)", tables)
+    assert symbolic.to_exponential_form(plain) is plain
+    assert symbolic.to_hypergeometric_form(plain) is plain
+    assert visited == []
+    # Only the nodes above a converted head are visited; the branch
+    # without one comes back itself.
+    expr = ir.add(plain, tx(r"\BesselJ{\nu-1}@{z} + \BesselJ{\nu+1}@{z}", tables))
+    reduced = symbolic.reduce_bessel_orders(expr, NormContext())
+    assert reduced != expr
+    assert visited and all("bessel_j" in ir.heads(node) for node in visited)
+    assert any(term is plain for term in reduced.terms)
+
+
+# Every head the conversions act on, each below a sum and a product.
+_CONVERTED_HEADS_LATEX = (
+    r"\expe^{x}", r"\BesselJ{\nu}@{z}", r"\LaguerreL[\alpha]{n}@{x}", r"\LegendreP{n}@{x}",
+    r"\JacobiP{\alpha}{\beta}{n}@{x}", r"\ChebyT{n}@{x}", r"\erf@@{z}",
+    r"\sin@{x}", r"\cos@{x}", r"\tan@{x}", r"\sec@{x}", r"\csc@{x}", r"\cot@{x}",
+    r"\sinh@{x}", r"\cosh@{x}", r"\tanh@{x}", r"\sech@{x}", r"\csch@{x}", r"\coth@{x}",
+    r"\BesselY{\nu-1}@{z} + \BesselY{\nu+1}@{z}",
+)
+
+
+def test_conversions_match_the_full_map(tables, mini_corpus, monkeypatch):
+    trees = [tx(f"y + 2 ({latex})", tables) for latex in _CONVERTED_HEADS_LATEX]
+    for _, rel, _ in _corpus_equations(tables, mini_corpus):
+        trees += [rel.lhs, rel.rhs, ir.sub(rel.lhs, rel.rhs)]
+    got = [_converted(t) for t in trees]
+    monkeypatch.setattr(symbolic, "_map_tree", _full_map_tree)
+    assert got == [_converted(t) for t in trees]
+    for tree, (exponential, hypergeometric, _) in zip(trees, got):
+        if symbolic._EXPONENTIAL_HEADS.isdisjoint(ir.heads(tree)):
+            assert exponential is tree
+        if symbolic._HYPERGEOMETRIC_HEADS.isdisjoint(ir.heads(tree)):
+            assert hypergeometric is tree
+    assert sum(e is not t for t, (e, _, _) in zip(trees, got)) >= 5
+    assert sum(b is not t for t, (_, _, b) in zip(trees, got)) >= 4
 
 
 def test_expand_with_the_formula_memo_matches_a_fresh_expand(tables, mini_corpus):

@@ -138,10 +138,6 @@ class ConvergenceFailure(EvaluationError):
     kind = "convergence_failure"
 
 
-class EvaluationOverflow(EvaluationError):
-    kind = "overflow"
-
-
 class VerificationTimeout(MathVerifyError):
     pass
 

@@ -6,6 +6,8 @@ variables, filters them through the interpreted constraints, evaluates
 both relation sides at every surviving assignment, and classifies the
 outcome against the configured threshold.  Timeout enforcement is
 cooperative: every evaluation step and series loop polls a deadline.
+Each function value is computed once per formula: both sides share one
+value table across all assignments, and nothing is kept across formulae.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .constraints import SpecialValueAssignment, VariableDomain, check_domain
 from .errors import (
     ConvergenceFailure,
     EvaluationError,
-    EvaluationOverflow,
     NumericallyUnsupported,
     PoleOrSingularity,
     VerificationTimeout,
@@ -102,12 +103,28 @@ class Deadline:
 _NO_DEADLINE = Deadline(None)
 
 
+# The most function values one context keeps; past it, new values are
+# computed and not stored, so a long sum or integral stays bounded in memory.
+MAX_TABLE_VALUES = 10_000
+
+
 class EvalContext:
-    __slots__ = ("deadline", "branch_sensitive")
+    """State of one ``verify_numeric`` or ``eval_expr`` call.
+
+    ``values`` is the value table: it maps ``(func, mp.prec, number of
+    params, raw operand...)`` to the finite value of that function
+    application.  An operand is keyed by its raw ``_mpf_`` or ``_mpc_``
+    tuple, which tells a real from a complex number with zero imaginary
+    part; the working precision is in the key because ``mp.quad`` raises
+    it inside an integrand.
+    """
+
+    __slots__ = ("deadline", "branch_sensitive", "values")
 
     def __init__(self, deadline: Deadline = _NO_DEADLINE):
         self.deadline = deadline
         self.branch_sensitive = False
+        self.values: dict[tuple, object] = {}
 
 
 def _to_mp(value):
@@ -140,7 +157,8 @@ def eval_expr(expr: Expr, assignment: dict, config: NumericConfig,
 
     Works at ``precision_digits`` plus ten guard digits; principal
     branches everywhere, with branch-sensitive operations recorded on the
-    context.
+    context.  Without ``ctx`` the call gets a fresh context, so its value
+    table dies with the call; a context passed in keeps its table.
     """
     if ctx is None:
         ctx = EvalContext()
@@ -204,19 +222,16 @@ def _eval_pow(expr: Pow, assign: dict, ctx: EvalContext):
     base = _eval(expr.base, assign, ctx)
     exponent = _eval(expr.exponent, assign, ctx)
     if base == 0:
-        if _is_real(exponent) and mp.re(exponent) > 0:
-            return mp.mpf(0)
         if exponent == 0:
             return mp.mpf(1)
-        raise PoleOrSingularity("zero base with non-positive exponent")
+        if mp.re(exponent) > 0:
+            return mp.mpf(0)
+        raise PoleOrSingularity("zero base with an exponent of non-positive real part")
     if _is_real(base) and mp.re(base) < 0 and not _is_integer_mp(exponent):
         ctx.branch_sensitive = True
-    try:
-        return _check_finite(mp.power(base, exponent))
-    except (ZeroDivisionError, ValueError) as exc:
-        raise PoleOrSingularity(str(exc)) from exc
-    except OverflowError as exc:
-        raise EvaluationOverflow(str(exc)) from exc
+    # Both operands are finite and the base is not zero; mpmath's exponent
+    # range is unbounded, so the power neither raises nor overflows.
+    return _check_finite(mp.power(base, exponent))
 
 
 def _eval_function(expr: FunctionApp, assign: dict, ctx: EvalContext):
@@ -225,17 +240,23 @@ def _eval_function(expr: FunctionApp, assign: dict, ctx: EvalContext):
         raise NumericallyUnsupported(func)
     params = [_eval(p, assign, ctx) for p in expr.params]
     args = [_eval(a, assign, ctx) for a in expr.args]
+    # A hit follows the miss that set any branch flag in this context.
+    key = (func, mp.prec, len(params),
+           *[getattr(v, "_mpf_", None) or v._mpc_ for v in params + args])
+    values = ctx.values
+    value = values.get(key)
+    if value is not None:
+        return value
     try:
         value = _dispatch(func, params, args, ctx)
-    except (NumericallyUnsupported, EvaluationError):
-        raise
-    except VerificationTimeout:
-        raise
     except mpmath.libmp.NoConvergence as exc:
         raise ConvergenceFailure(str(exc)) from exc
     except (ZeroDivisionError, ValueError, ArithmeticError) as exc:
         raise PoleOrSingularity(f"{func}: {exc}") from exc
-    return _check_finite(value)
+    _check_finite(value)
+    if len(values) < MAX_TABLE_VALUES:
+        values[key] = value
+    return value
 
 
 # One-argument functions that map straight onto an mpmath function.
@@ -336,10 +357,8 @@ def _eval_bigop(expr: BigOp, assign: dict, ctx: EvalContext):
             inner[expr.var] = t
             return _eval(expr.body, inner, ctx)
 
-        try:
-            return _check_finite(mp.quad(integrand, [mp.re(lo), mp.re(hi)]))
-        except mpmath.libmp.NoConvergence as exc:
-            raise ConvergenceFailure(str(exc)) from exc
+        # mp.quad returns its best estimate rather than raise NoConvergence.
+        return _check_finite(mp.quad(integrand, [mp.re(lo), mp.re(hi)]))
     raise NumericallyUnsupported(f"big operator {expr.kind}")
 
 
@@ -471,22 +490,15 @@ def _discrepancy(kind: str, lhs, rhs, config: NumericConfig) -> tuple[float, boo
     imag = float(max(abs(mp.im(lhs)), abs(mp.im(rhs))))
     if imag >= threshold:
         return imag, False
+    # a > b is checked as b < a, and a >= b as b <= a.
     a, b = mp.re(lhs), mp.re(rhs)
+    if kind in (ir.REL_GT, ir.REL_GE):
+        a, b = b, a
+    margin = max(float(a - b), 0.0)
+    if kind in (ir.REL_LT, ir.REL_GT):
+        return margin, a < b
     # Computed equality slack for the non-strict relations.
-    eps = mp.mpf(10) ** (-config.precision_digits)
-    if kind == ir.REL_LT:
-        margin = float(a - b)
-        return max(margin, 0.0), a < b
-    if kind == ir.REL_LE:
-        margin = float(a - b)
-        return max(margin, 0.0), a <= b + eps
-    if kind == ir.REL_GT:
-        margin = float(b - a)
-        return max(margin, 0.0), a > b
-    if kind == ir.REL_GE:
-        margin = float(b - a)
-        return max(margin, 0.0), a >= b - eps
-    raise ValueError(f"relation {kind!r} has no numeric semantics")
+    return margin, a <= b + mp.mpf(10) ** (-config.precision_digits)
 
 
 def verify_numeric(
@@ -502,10 +514,7 @@ def verify_numeric(
     deadline = Deadline(config.timeout_seconds)
     ctx = EvalContext(deadline)
     variables = free_variables(rel.lhs) | free_variables(rel.rhs)
-    try:
-        assignments = generate_assignments(variables, domains, specials, config)
-    except VerificationTimeout:
-        return NumericOutcome(CLASS_TIMEOUT)
+    assignments = generate_assignments(variables, domains, specials, config)
     if not assignments:
         return NumericOutcome(CLASS_NO_VALID_VALUES)
     lhs = resolve_derivatives(rel.lhs)

@@ -1,23 +1,58 @@
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 import oracles
-from mathverify import ir
-from mathverify.constraints import SpecialValueAssignment, VariableDomain
-from mathverify.ir import BigOp, Const, FunctionApp, Number, Pow, Var
+from mathverify import ir, numeric
+from mathverify.calculus import resolve_derivatives
+from mathverify.constraints import (
+    SpecialValueAssignment,
+    VariableDomain,
+    interpret_constraints,
+)
+from mathverify.errors import (
+    ConvergenceFailure,
+    EvaluationError,
+    MathVerifyError,
+    NumericallyUnsupported,
+    PoleOrSingularity,
+)
+from mathverify.ir import (
+    Add,
+    BigOp,
+    Const,
+    Derivative,
+    FunctionApp,
+    Number,
+    Pow,
+    Var,
+    free_variables,
+)
 from mathverify.numeric import (
     CLASS_ABOVE_THRESHOLD,
+    CLASS_EVALUATION_ERROR,
     CLASS_NO_VALID_VALUES,
     CLASS_TIMEOUT,
+    CLASS_UNSUPPORTED,
     CLASS_VERIFIED,
+    MODE_QUOTIENT,
+    MODE_RELATIVE,
+    NUMERIC_FUNCTIONS,
+    EvalContext,
+    EvalRecord,
     NumericConfig,
+    NumericOutcome,
     eval_expr,
     generate_assignments,
     verify_numeric,
 )
+from mathverify.parser import parse, tokenize
+from mathverify.translate import to_relation
 
 CONFIG = NumericConfig()
 TOL = mpf(10) ** -10
@@ -501,3 +536,427 @@ def test_precision_guard_digits():
                       NumericConfig(precision_digits=10))
     with mp.workdps(30):
         assert abs(value - mp.sqrt(mp.pi)) < mpf(10) ** -15
+
+
+# --- inputs the kernel rejects or classifies ---
+
+def test_constants_and_unassigned_variables():
+    with mp.workdps(20):
+        assert eval_expr(Const(ir.EULER_GAMMA), {}, CONFIG) == +mp.euler
+    with pytest.raises(EvaluationError, match="constant infinity"):
+        eval_expr(Const(ir.INFINITY), {}, CONFIG)
+    with pytest.raises(EvaluationError, match="unassigned variable 'y'"):
+        eval_expr(Var("y"), {"x": Fraction(1)}, CONFIG)
+    with pytest.raises(EvaluationError, match="cannot evaluate"):
+        eval_expr(ir.Expr(), {}, CONFIG)
+
+
+def test_infinite_constant_is_an_evaluation_error():
+    rel = ir.Relation(ir.REL_EQ, ir.add(Var("x"), Const(ir.INFINITY)),
+                      Const(ir.INFINITY))
+    out = verify_numeric(rel, (), None, CONFIG)
+    assert (out.classification, out.detail) == \
+        (CLASS_EVALUATION_ERROR, "evaluation_error")
+
+
+def test_series_that_does_not_converge_is_an_evaluation_error():
+    big = Number(Fraction(10000))
+    laguerre = _f("laguerre_poly", big, params=(ir.add(big, ir.HALF), ir.HALF))
+    with pytest.raises(ConvergenceFailure):
+        eval_expr(laguerre, {}, CONFIG)
+    out = verify_numeric(ir.Relation(ir.REL_EQ, laguerre, ir.ZERO), (), None, CONFIG)
+    assert (out.classification, out.detail) == \
+        (CLASS_EVALUATION_ERROR, "convergence_failure")
+
+
+def test_derivatives_are_resolved_or_unsupported():
+    value = eval_expr(Derivative(_sin(Var("x")), "x"), {"x": Fraction(1, 2)}, CONFIG)
+    with mp.workdps(20):
+        assert abs(value - mp.cos(0.5)) < TOL
+    unresolved = Derivative(_f("genhyper", Var("x"), params=(ir.ZERO, ir.ZERO)), "x")
+    with pytest.raises(NumericallyUnsupported, match="derivative of genhyper"):
+        eval_expr(unresolved, {"x": Fraction(1, 2)}, CONFIG)
+    integral = BigOp(ir.OP_INT, "t", ir.ZERO, Var("x"), Var("t"))
+    with pytest.raises(NumericallyUnsupported, match="derivative of bigop"):
+        eval_expr(Derivative(integral, "x"), {"x": Fraction(1, 2)}, CONFIG)
+
+
+def test_unsupported_big_operators_and_hypergeometric_orders():
+    limit = BigOp(ir.OP_LIM, "t", ir.ZERO, ir.ZERO, Var("t"))
+    with pytest.raises(NumericallyUnsupported, match="big operator lim"):
+        eval_expr(limit, {}, CONFIG)
+    complex_path = BigOp(ir.OP_INT, "t", ir.ZERO, Const(ir.IMAGINARY_UNIT), Var("t"))
+    with pytest.raises(NumericallyUnsupported, match="non-finite real interval"):
+        eval_expr(complex_path, {}, CONFIG)
+    three_f_two = FunctionApp("genhyper", (ir.num(3), ir.num(2)),
+                              (ir.ONE, ir.ONE, ir.ONE, ir.num(2), ir.num(2), Var("z")))
+    out = verify_numeric(ir.Relation(ir.REL_EQ, three_f_two, ir.ONE), (), None, CONFIG)
+    assert (out.classification, out.detail) == (CLASS_UNSUPPORTED, "genhyper(3,2)")
+
+
+def test_every_registered_function_is_dispatched():
+    ctx = EvalContext()
+    with pytest.raises(NumericallyUnsupported):
+        numeric._dispatch("qgenhyper", [], [mpf(1)], ctx)
+    # Each registered id reaches its own branch: none falls through to
+    # the unsupported error.
+    operands = {"genhyper": ([mpf(0), mpf(0)], [mpf(1) / 4]),
+                "jacobi_poly": ([mpf(1) / 2, mpf(1) / 2, mpf(2)], [mpf(1) / 4]),
+                "laguerre_poly": ([mpf(2), mpf(1) / 2], [mpf(1) / 4]),
+                "binomial": ([], [mpf(5), mpf(2)]),
+                "pochhammer": ([], [mpf(1) / 2, mpf(3)])}
+    for func in sorted(NUMERIC_FUNCTIONS):
+        params, args = operands.get(func, ([mpf(2)], [mpf(1) / 4]))
+        with mp.workdps(20):
+            assert mp.isfinite(numeric._dispatch(func, params, args, ctx)), func
+
+
+def test_limit_relations_are_rejected():
+    with pytest.raises(ValueError, match="limit relations"):
+        verify_numeric(ir.Relation(ir.REL_TO, Var("x"), ir.ZERO), (), None, CONFIG)
+
+
+# --- logarithms and zero bases ---
+
+def test_log_branches():
+    ctx = EvalContext()
+    value = eval_expr(_f("ln", Var("x")), {"x": Fraction(-1, 2)}, CONFIG, ctx)
+    with mp.workdps(20):
+        assert abs(value - mpc(mp.log(0.5), mp.pi)) < TOL
+    assert ctx.branch_sensitive
+    ctx = EvalContext()
+    eval_expr(_f("log_gamma", Var("x")), {"x": Fraction(-1, 2)}, CONFIG, ctx)
+    assert ctx.branch_sensitive
+    ctx = EvalContext()
+    eval_expr(_f("log_gamma", Var("x")), {"x": Fraction(1, 2)}, CONFIG, ctx)
+    assert not ctx.branch_sensitive
+    with pytest.raises(PoleOrSingularity, match="log of zero"):
+        eval_expr(_f("ln", ir.ZERO), {}, CONFIG)
+
+
+@pytest.mark.parametrize("exponent,value", [
+    (ir.ZERO, 1),
+    (ir.num(2), 0),
+    (ir.add(ir.num(2), Const(ir.IMAGINARY_UNIT)), 0),
+    (ir.add(ir.HALF, ir.mul(ir.num(-3), Const(ir.IMAGINARY_UNIT))), 0),
+])
+def test_zero_base_with_exponent_of_positive_real_part(exponent, value):
+    assert eval_expr(Pow(ir.ZERO, exponent), {}, CONFIG) == value
+
+
+@pytest.mark.parametrize("exponent", [
+    ir.num(-2), Const(ir.IMAGINARY_UNIT), ir.add(ir.num(-1), Const(ir.IMAGINARY_UNIT)),
+])
+def test_zero_base_with_exponent_of_non_positive_real_part(exponent):
+    with pytest.raises(PoleOrSingularity, match="non-positive real part"):
+        eval_expr(Pow(ir.ZERO, exponent), {}, CONFIG)
+
+
+# --- assignment generation for countable and finite domains ---
+
+def test_bounded_progression_stops_at_its_end():
+    domain = VariableDomain("n", "integer",
+                            progression=(Fraction(1), Fraction(2), Fraction(3)))
+    out = generate_assignments({"n"}, [domain], None, CONFIG)
+    assert out == [{"n": Fraction(1)}, {"n": Fraction(3)}]
+
+
+def test_finite_set_uses_its_three_smallest_members():
+    domain = VariableDomain("n", "integer",
+                            finite_set=tuple(Fraction(v) for v in (7, -2, 4, 5)))
+    out = generate_assignments({"n"}, [domain], None, CONFIG)
+    assert out == [{"n": Fraction(-2)}, {"n": Fraction(4)}, {"n": Fraction(5)}]
+
+
+@pytest.mark.parametrize("lower,strict,first", [
+    (Fraction(2), False, 2), (Fraction(2), True, 3),
+    (Fraction(5, 2), False, 3), (Fraction(-5, 2), True, -2),
+])
+def test_integer_interval_starts_at_its_smallest_member(lower, strict, first):
+    domain = VariableDomain("n", "integer", interval=(lower, strict, None, False))
+    out = generate_assignments({"n"}, [domain], None, CONFIG)
+    assert out == [{"n": Fraction(first + k)} for k in range(3)]
+
+
+# --- comparison modes and order relations ---
+
+def _outcome(kind, lhs, rhs, **config):
+    return verify_numeric(ir.Relation(kind, lhs, rhs), (), None,
+                          NumericConfig(**config))
+
+
+def test_relative_mode_scales_by_the_larger_side():
+    # lhs and rhs differ by 10 at 10^5: absolute fails, relative passes.
+    lhs = ir.mul(ir.num(100_000), ir.add(Var("x"), ir.num(2)))
+    rhs = ir.add(lhs, ir.num(10))
+    assert _outcome(ir.REL_EQ, lhs, rhs).classification == CLASS_ABOVE_THRESHOLD
+    out = _outcome(ir.REL_EQ, lhs, rhs, comparison_mode=MODE_RELATIVE)
+    assert out.classification == CLASS_VERIFIED
+    assert out.evaluations[0].discrepancy == pytest.approx(10 / 150_010)
+
+
+def test_quotient_mode_compares_the_ratio_to_one():
+    lhs = ir.mul(ir.num(1001), Var("x"))
+    rhs = ir.mul(ir.num(1000), Var("x"))
+    out = _outcome(ir.REL_EQ, lhs, rhs, comparison_mode=MODE_QUOTIENT,
+                   threshold=0.01)
+    assert out.classification == CLASS_VERIFIED
+    assert [ev.discrepancy for ev in out.evaluations] == \
+        [pytest.approx(0.001)] * 3
+    # A zero right-hand side falls back to the absolute difference.
+    out = _outcome(ir.REL_EQ, ir.ZERO, ir.mul(ir.ZERO, Var("x")),
+                   comparison_mode=MODE_QUOTIENT)
+    assert out.classification == CLASS_VERIFIED
+
+
+def test_non_strict_order_relations_allow_equality():
+    x2 = ir.power(Var("x"), ir.num(2))
+    for kind in (ir.REL_LE, ir.REL_GE):
+        assert _outcome(kind, x2, x2).classification == CLASS_VERIFIED
+    assert _outcome(ir.REL_LE, x2, ir.add(x2, ir.ONE)).classification == CLASS_VERIFIED
+    out = _outcome(ir.REL_GE, x2, ir.add(x2, ir.ONE))
+    assert out.classification == CLASS_ABOVE_THRESHOLD
+    assert out.worst == pytest.approx(1.0)
+    # The strict relations do not.
+    for kind in (ir.REL_LT, ir.REL_GT):
+        out = _outcome(kind, x2, x2)
+        assert (out.classification, out.worst) == (CLASS_ABOVE_THRESHOLD, 0.0)
+
+
+def test_order_relation_with_complex_sides_fails():
+    out = _outcome(ir.REL_LT, Const(ir.IMAGINARY_UNIT), ir.num(2))
+    assert out.classification == CLASS_ABOVE_THRESHOLD
+    assert out.worst == pytest.approx(1.0)
+
+
+# --- the value table ---
+
+def _reference(rel, domains, specials, config):
+    """verify_numeric's outcome, with each side at each assignment
+    evaluated through eval_expr in a fresh context: nothing is shared."""
+    assignments = generate_assignments(
+        free_variables(rel.lhs) | free_variables(rel.rhs), domains, specials, config)
+    if not assignments:
+        return NumericOutcome(CLASS_NO_VALID_VALUES)
+    sides = (resolve_derivatives(rel.lhs), resolve_derivatives(rel.rhs))
+    evaluations, skipped, worst, branch = [], [], None, False
+    for assignment in assignments:
+        shown = {k: str(v) for k, v in assignment.items()}
+        values = []
+        try:
+            for side in sides:
+                ctx = EvalContext()
+                try:
+                    values.append(eval_expr(side, assignment, config, ctx))
+                finally:
+                    branch = branch or ctx.branch_sensitive
+        except PoleOrSingularity:
+            skipped.append(shown)
+            continue
+        except NumericallyUnsupported as exc:
+            return NumericOutcome(CLASS_UNSUPPORTED, exc.function_id, None,
+                                  evaluations, skipped, branch)
+        except EvaluationError as exc:
+            return NumericOutcome(CLASS_EVALUATION_ERROR, exc.kind, None,
+                                  evaluations, skipped, branch)
+        lv, rv = values
+        d, ok = numeric._discrepancy(rel.kind, lv, rv, config)
+        evaluations.append(EvalRecord(shown, complex(lv), complex(rv), d))
+        if not ok:
+            worst = d if worst is None else max(worst, d)
+    if not evaluations:
+        return NumericOutcome(CLASS_NO_VALID_VALUES, skipped=skipped,
+                              branch_sensitive=branch)
+    return NumericOutcome(CLASS_VERIFIED if worst is None else CLASS_ABOVE_THRESHOLD,
+                          worst=worst, evaluations=evaluations, skipped=skipped,
+                          branch_sensitive=branch)
+
+
+@pytest.fixture
+def dispatch_calls(monkeypatch):
+    """A list that grows by one entry per numeric._dispatch call."""
+    calls = []
+    dispatch = numeric._dispatch
+
+    def counting(func, params, args, ctx):
+        calls.append(func)
+        return dispatch(func, params, args, ctx)
+    monkeypatch.setattr(numeric, "_dispatch", counting)
+    return calls
+
+
+def test_value_table_keeps_every_outcome_field(tables, mini_corpus, dispatch_calls):
+    shared = fresh = relations = 0
+    for record in mini_corpus:
+        try:
+            tree = parse(tokenize(record.latex), tables.macro_table)
+            rel = to_relation(tree, tables.translation_table)
+        except MathVerifyError:
+            continue
+        if rel.kind == ir.REL_TO:
+            continue
+        relations += 1
+        interp = interpret_constraints(record.constraints, tables.blueprints,
+                                       tables.macro_table)
+        start = len(dispatch_calls)
+        out = verify_numeric(rel, interp.domains, interp.specials, CONFIG)
+        middle = len(dispatch_calls)
+        ref = _reference(rel, interp.domains, interp.specials, CONFIG)
+        assert out == ref, record.id
+        shared += middle - start
+        fresh += len(dispatch_calls) - middle
+    assert relations == 38
+    # The table serves some of the calls a fresh context makes.
+    assert shared < fresh
+
+
+def _fresh_value(expr, assignment, config):
+    """expr's value, each node evaluated in its own context from the
+    values of its operands, so no function value is ever looked up."""
+    if isinstance(expr, (Var, Number)):
+        return eval_expr(expr, assignment, config)
+    operands = expr.terms if isinstance(expr, Add) else expr.params + expr.args
+    values = [_fresh_value(o, assignment, config) for o in operands]
+    if any(abs(v) > 1000 for v in values):
+        raise OverflowError  # keeps each call cheap; the draw is rejected
+    slots = tuple(Var(f"v{i}") for i in range(len(values)))
+    if isinstance(expr, Add):
+        node = Add(slots)
+    else:
+        node = FunctionApp(expr.func, slots[:len(expr.params)],
+                           slots[len(expr.params):])
+    return eval_expr(node, {f"v{i}": v for i, v in enumerate(values)}, config)
+
+
+LEAVES = (Var("x"), Var("y"), Number(Fraction(-1, 2)), ir.HALF,
+          Number(Fraction(3, 2)))
+# Function id -> number of params.  Every function takes one argument
+# except binomial and pochhammer; genhyper's params are (p, q).
+SHAPES = dict.fromkeys(NUMERIC_FUNCTIONS, 0) | dict.fromkeys(
+    ("bessel_j", "bessel_y", "bessel_i", "bessel_k", "hermite_poly",
+     "cheby_t", "cheby_u", "legendre_poly"), 1) | {
+    "jacobi_poly": 3, "laguerre_poly": 2, "genhyper": 2}
+TWO_ARGUMENTS = ("binomial", "pochhammer")
+HYPER_ORDERS = ((0, 1), (1, 1), (2, 1))
+
+
+@st.composite
+def function_trees(draw):
+    """A sum of function applications whose operands repeat.  Each
+    application's arguments are drawn from the leaves and the earlier
+    applications, its params (and genhyper's a and b) from the leaves.
+    Half the applications take the function and arguments of an earlier
+    one and draw its params again: a repeat, or the same argument at
+    other params.  Jacobi's and Laguerre's params are positive: at
+    n = alpha = -1/2 mpmath spends seconds before it raises."""
+    pool = list(LEAVES)
+    for _ in range(draw(st.integers(2, 6))):
+        apps = pool[len(LEAVES):]
+        if apps and draw(st.booleans()):
+            earlier = draw(st.sampled_from(apps))
+            func = earlier.func
+            arguments = earlier.args[-2 if func in TWO_ARGUMENTS else -1:]
+            if func == "genhyper":
+                orders = tuple(int(n.value) for n in earlier.params)
+        else:
+            func = draw(st.sampled_from(sorted(SHAPES)))
+            arguments = tuple(draw(st.sampled_from(pool))
+                              for _ in range(2 if func in TWO_ARGUMENTS else 1))
+            orders = draw(st.sampled_from(HYPER_ORDERS))
+        positive = func in ("jacobi_poly", "laguerre_poly")
+        leaf = st.sampled_from(LEAVES[3:] if positive else LEAVES)
+        if func == "genhyper":
+            params = tuple(ir.num(n) for n in orders)
+            arguments = tuple(draw(leaf) for _ in range(sum(orders))) + arguments
+        else:
+            params = tuple(draw(leaf) for _ in range(SHAPES[func]))
+        pool.append(FunctionApp(func, params, arguments))
+    return Add(tuple(pool[len(LEAVES):]))
+
+
+TREE_POINTS = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2), complex(0.5, 0.25)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(function_trees(), st.sampled_from(TREE_POINTS), st.sampled_from(TREE_POINTS),
+       st.sampled_from([5, 15, 40]))
+def test_value_table_gives_the_values_of_fresh_contexts(tree, x, y, digits):
+    config = NumericConfig(precision_digits=digits)
+    assignment = {"x": x, "y": y}
+    try:
+        expected = _fresh_value(tree, assignment, config)
+    except OverflowError:
+        reject()
+    except EvaluationError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            eval_expr(tree, assignment, config)
+        return
+    value = eval_expr(tree, assignment, config)
+    assert type(value) is type(expected)
+    assert value == expected
+
+
+def test_integrand_does_not_reuse_values_of_another_precision():
+    # mp.quad works 20 bits above the call's precision, and the midpoint
+    # node t = 1/2 is the same mpf as x = 1/2.  The integral of
+    # sin(t) - sin(x) is small, so a sin(1/2) served at the outer
+    # precision would move it by many units in its last place.
+    integrand = ir.sub(_sin(Var("t")), _sin(Var("x")))
+    integral = BigOp(ir.OP_INT, "t", ir.ZERO, ir.ONE, integrand)
+    assignment = {"x": Fraction(1, 2)}
+    for digits in (5, 10, 20):
+        config = NumericConfig(precision_digits=digits)
+        value = eval_expr(ir.Mul((_sin(Var("x")), integral)), assignment, config)
+        parts = [eval_expr(e, assignment, config) for e in (_sin(Var("x")), integral)]
+        with mp.workdps(digits + 10):
+            assert value == mpf(1) * parts[0] * parts[1]
+
+
+def test_real_and_complex_operands_of_equal_value_are_kept_apart(dispatch_calls):
+    tree = Add((_sin(Var("x")), _sin(Var("y"))))
+    assignment = {"x": Fraction(1, 2), "y": complex(0.5, 0)}
+    value = eval_expr(tree, assignment, CONFIG)
+    assert type(value) is mpc
+    assert dispatch_calls == ["sin", "sin"]
+    assert value == _fresh_value(tree, assignment, CONFIG)
+
+
+def test_repeated_pole_is_skipped_at_every_assignment(dispatch_calls):
+    # Neither the pole of gamma nor the infinite value of K(1) is stored:
+    # both raise at every occurrence.
+    for pole in (_f("gamma", ir.num(-1)), _f("elliptic_k", ir.ONE)):
+        del dispatch_calls[:]
+        side = ir.add(Var("x"), pole)
+        out = verify_numeric(ir.Relation(ir.REL_EQ, side, side), (), None, CONFIG)
+        assert out.classification == CLASS_NO_VALID_VALUES
+        assert out.skipped == [{"x": "-1/2"}, {"x": "1/2"}, {"x": "3/2"}]
+        assert dispatch_calls == [pole.func] * 3
+
+
+def test_log_of_a_negative_real_stays_branch_sensitive(dispatch_calls):
+    side = ir.add(_f("ln", Var("x")), _f("ln", Var("x")))
+    out = verify_numeric(ir.Relation(ir.REL_EQ, side, side), (), None, CONFIG)
+    assert out.classification == CLASS_VERIFIED
+    assert out.branch_sensitive
+    # One call per test value; the other three uses at each are served.
+    assert dispatch_calls == ["ln"] * 3
+    positive = VariableDomain("x", "real", interval=(Fraction(0), True, None, False))
+    out = verify_numeric(ir.Relation(ir.REL_EQ, side, side), [positive], None, CONFIG)
+    assert not out.branch_sensitive
+
+
+def test_value_table_dies_with_its_call(dispatch_calls):
+    rel = ir.Relation(ir.REL_EQ, _f("gamma", Var("x")), _f("gamma", Var("x")))
+    verify_numeric(rel, (), None, CONFIG)
+    verify_numeric(rel, (), None, CONFIG)
+    eval_expr(_f("gamma", ir.HALF), {}, CONFIG)
+    eval_expr(_f("gamma", ir.HALF), {}, CONFIG)
+    assert dispatch_calls == ["gamma"] * 8
+
+
+def test_value_table_is_bounded():
+    body = _sin(Var("k"))
+    ctx = EvalContext()
+    eval_expr(BigOp(ir.OP_SUM, "k", ir.ONE, ir.num(numeric.MAX_TABLE_VALUES + 50), body),
+              {}, CONFIG, ctx)
+    assert len(ctx.values) == numeric.MAX_TABLE_VALUES

@@ -184,6 +184,21 @@ def test_clean_corpus_has_no_flags(tmp_path):
     assert list_flagged(run_pipeline(path)) == []
 
 
+@pytest.mark.parametrize("run_symbolic", [True, False])
+def test_zero_to_a_complex_power_is_evaluated(tables, run_symbolic):
+    # 0^z = 0 whenever the real part of z is positive, so the formula's one
+    # assignment is evaluated, not skipped as a pole.
+    options = PipelineOptions(run_symbolic=run_symbolic)
+    out = verify_record(FormulaRecord("EF.902", "EF", r"0^{2+\iunit} = 0"),
+                        tables, options)
+    assert out.numeric.classification == "verified"
+    assert [(ev.lhs, ev.rhs) for ev in out.numeric.evaluations] == [(0j, 0j)]
+    out = verify_record(FormulaRecord("EF.903", "EF", r"0^{\iunit} = 0"),
+                        tables, options)
+    assert out.numeric.classification == "no_valid_values"
+    assert out.numeric.skipped == [{}]
+
+
 def test_chapter_filter():
     report = run_pipeline(MINI, chapter="GA")
     assert [c.chapter_code for c in report.chapters] == ["GA"]

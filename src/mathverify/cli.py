@@ -44,7 +44,8 @@ def _common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chapter", help="restrict to one 2-letter chapter code")
     sub.add_argument("--jobs", type=int, help="parallel verification workers")
     sub.add_argument("--timeout", type=float, dest="timeout_seconds",
-                     help="per-formula timeout in seconds")
+                     help="time limit in seconds on each formula's numeric "
+                          "stage (the symbolic stage has step budgets only)")
 
 
 def _options_from(args: argparse.Namespace) -> PipelineOptions:

@@ -7,7 +7,9 @@ test values), set-notation reading (``n=0,1,2,\\dots`` and ``a,b\\in A``
 shapes, yielding variable domains), and compound-inequality splitting
 (yielding interval domains).  Constraints that none of the interpreters
 understand are reported as blueprint gaps instead of aborting the
-verification.
+verification.  What a token is (a relation and its kind, a variable, a
+placeholder) and how tokens join back into text are the parser's lexicon
+decisions; this module reads them from `parser`.
 """
 
 from __future__ import annotations
@@ -25,15 +27,18 @@ from .errors import (
     UnknownSetSymbol,
 )
 from .parser import (
+    RELATION_SPELLINGS,
     MacroTable,
     ParseNode,
     Token,
     TokenCategory,
     flatten_tokens,
+    is_placeholder_name,
+    join_token_texts,
     parse,
     tokenize,
+    variable_name,
 )
-from .translate import GREEK_LETTERS
 
 _EMPTY_TABLE = MacroTable(())
 
@@ -52,10 +57,16 @@ BASE_COMPLEX = "complex"
 
 _DOTS = {"\\dots", "\\ldots", "\\cdots"}
 
-_INEQUALITY_TEXTS = {"<", ">", "\\le", "\\leq", "\\ge", "\\geq", "\\ne", "\\neq"}
+# The relation kind that holds with the sides swapped, per inequality kind.
+_CONVERSE = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le", "ne": "ne"}
 
-_FLIP = {"<": ">", ">": "<", "\\le": "\\ge", "\\ge": "\\le",
-         "\\leq": "\\geq", "\\geq": "\\leq", "\\ne": "\\ne", "\\neq": "\\neq"}
+_INEQUALITY_TEXTS = frozenset(
+    text for text, kind in RELATION_SPELLINGS.items() if kind in _CONVERSE
+)
+
+# Each inequality spelling with its sides swapped, in the same style:
+# < and >, \le and \ge, \leq and \geq; \ne and \neq are symmetric.
+_FLIP = {text: text.translate(str.maketrans("<>lg", "><gl")) for text in _INEQUALITY_TEXTS}
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,26 +114,6 @@ class ConstraintBlueprint:
             )
 
 
-def _is_placeholder(token: Token) -> bool:
-    return (
-        token.category is TokenCategory.LETTER
-        and token.text.startswith("var")
-        and (token.text == "var" or token.text[3:].isdigit())
-    )
-
-
-def _variable_token_name(token: Token) -> Optional[str]:
-    """Variable name when the token may stand in for a placeholder:
-    Latin letters, Greek letters, and alphanumeric word tokens."""
-    if token.category is TokenCategory.LETTER:
-        return token.text
-    if token.category is TokenCategory.CONTROL_SEQUENCE:
-        name = token.text[1:]
-        if name in GREEK_LETTERS:
-            return name
-    return None
-
-
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -151,7 +142,7 @@ def parse_blueprint_rules(
         flat = tuple(flatten_tokens(tree))
         placeholders: list[str] = []
         for t in flat:
-            if _is_placeholder(t) and t.text not in placeholders:
+            if is_placeholder_name(t.text) and t.text not in placeholders:
                 placeholders.append(t.text)
         values = tuple(parse_rational(v.strip()) for v in right.split(","))
         blueprints.append(
@@ -173,8 +164,8 @@ def match_constraint(
         binding: dict[str, str] = {}
         ok = True
         for p, c in zip(bp.pattern_tokens, ctokens):
-            if _is_placeholder(p):
-                name = _variable_token_name(c)
+            if is_placeholder_name(p.text):
+                name = variable_name(c)
                 if name is None:
                     ok = False
                     break
@@ -228,7 +219,7 @@ def _parse_var_list(tokens: Sequence[Token]) -> list[tuple[Fraction, str]]:
             rest = chunk[1:]
         if len(rest) != 1:
             raise ConstraintError("variable list entry is not a simple symbol")
-        name = _variable_token_name(rest[0])
+        name = variable_name(rest[0])
         if name is None:
             raise ConstraintError(f"not a variable token: {rest[0].text!r}")
         if coefficient == 0:
@@ -244,20 +235,12 @@ def _parse_value_element(tokens: Sequence[Token]) -> Union[Fraction, str, None]:
         raise ConstraintError("empty element in value list")
     if len(tokens) == 1 and tokens[0].text in _DOTS:
         return None  # dots marker
-    sign = Fraction(1)
-    rest = list(tokens)
-    if rest[0].text == "-" and rest[0].category is TokenCategory.OPERATOR:
-        sign = Fraction(-1)
-        rest = rest[1:]
-    elif rest[0].text == "+" and rest[0].category is TokenCategory.OPERATOR:
-        rest = rest[1:]
-    if len(rest) == 1 and rest[0].category is TokenCategory.DIGIT:
-        return sign * parse_rational(rest[0].text)
-    if len(rest) == 3 and rest[0].category is TokenCategory.DIGIT and \
-            rest[1].text == "/" and rest[2].category is TokenCategory.DIGIT:
-        return sign * (parse_rational(rest[0].text) / parse_rational(rest[2].text))
+    value = _literal_value(tokens)
+    if value is not None:
+        return value
+    sign, rest = _split_sign(tokens)
     if sign == 1 and len(rest) == 1:
-        name = _variable_token_name(rest[0])
+        name = variable_name(rest[0])
         if name is not None:
             return name  # symbolic endpoint such as N
     raise ConstraintError(
@@ -375,11 +358,7 @@ def split_compound_inequality(constraint: ParseNode) -> list[str]:
     """``0 < x < 1`` becomes the atomic constraints ``x > 0`` and
     ``x < 1``; an n-relation chain yields n adjacent-pair atoms."""
     tokens = flatten_tokens(constraint)
-    rel_idx = [
-        i for i, t in enumerate(tokens)
-        if t.text in _INEQUALITY_TEXTS and t.category in
-        (TokenCategory.RELATION, TokenCategory.OPERATOR)
-    ]
+    rel_idx = [i for i, t in enumerate(tokens) if t.text in _INEQUALITY_TEXTS]
     if not rel_idx:
         raise ConstraintError("no inequality relation in constraint")
     segments: list[list[Token]] = []
@@ -397,40 +376,34 @@ def split_compound_inequality(constraint: ParseNode) -> list[str]:
         if _is_literal_number(left) and not _is_literal_number(right):
             left, right = right, left
             rel = _FLIP[rel]
-        atoms.append(f"{_tokens_text(left)} {rel} {_tokens_text(right)}")
+        atoms.append(f"{join_token_texts(t.text for t in left)} {rel} "
+                     f"{join_token_texts(t.text for t in right)}")
     return atoms
 
 
+def _split_sign(tokens: Sequence[Token]) -> tuple[int, Sequence[Token]]:
+    """-1 or 1, and the tokens after an optional leading + or - sign."""
+    if tokens and tokens[0].text in ("+", "-"):
+        return (-1 if tokens[0].text == "-" else 1), tokens[1:]
+    return 1, tokens
+
+
 def _is_literal_number(tokens: Sequence[Token]) -> bool:
-    body = list(tokens)
-    if body and body[0].text in ("+", "-"):
-        body = body[1:]
+    _, body = _split_sign(tokens)
     return len(body) == 1 and body[0].category is TokenCategory.DIGIT
 
 
-def _tokens_text(tokens: Sequence[Token]) -> str:
-    parts: list[str] = []
-    for t in tokens:
-        if parts and parts[-1].startswith("\\") and parts[-1][1:].isalpha() and \
-                t.text and (t.text[0].isalpha()):
-            parts.append(" ")
-        parts.append(t.text)
-    return "".join(parts)
-
-
 def _literal_value(tokens: Sequence[Token]) -> Optional[Fraction]:
-    body = list(tokens)
-    sign = Fraction(1)
-    if body and body[0].text == "-":
-        sign = Fraction(-1)
-        body = body[1:]
-    elif body and body[0].text == "+":
-        body = body[1:]
+    """The signed rational ``N`` or ``N/M`` the tokens spell after an
+    optional leading + or -; None for anything else, ``N/0`` included."""
+    sign, body = _split_sign(tokens)
     if len(body) == 1 and body[0].category is TokenCategory.DIGIT:
         return sign * parse_rational(body[0].text)
     if len(body) == 3 and body[0].category is TokenCategory.DIGIT and \
             body[1].text == "/" and body[2].category is TokenCategory.DIGIT:
-        return sign * (parse_rational(body[0].text) / parse_rational(body[2].text))
+        denominator = parse_rational(body[2].text)
+        if denominator:
+            return sign * parse_rational(body[0].text) / denominator
     return None
 
 
@@ -446,28 +419,20 @@ def domain_from_atomic(atomic: str) -> Optional[VariableDomain]:
         return None
     i = rel_idx[0]
     left, right = tokens[:i], tokens[i + 1:]
-    rel = tokens[i].text
-    var = _variable_token_name(left[0]) if len(left) == 1 else None
+    kind = RELATION_SPELLINGS[tokens[i].text]
+    var = variable_name(left[0]) if len(left) == 1 else None
     value = _literal_value(right)
     if var is None or value is None:
-        if len(right) == 1 and _variable_token_name(right[0]) and \
-                (v := _literal_value(left)) is not None:
-            var = _variable_token_name(right[0])
-            value = v
-            rel = _FLIP[rel]
-        else:
+        var = variable_name(right[0]) if len(right) == 1 else None
+        value = _literal_value(left)
+        if var is None or value is None:
             return None
-    if rel in ("\\ne", "\\neq"):
+        kind = _CONVERSE[kind]
+    if kind == "ne":
         return VariableDomain(var, BASE_COMPLEX, exclusions=(value,))
-    if rel == "<":
-        return VariableDomain(var, BASE_REAL, interval=(None, False, value, True))
-    if rel in ("\\le", "\\leq"):
-        return VariableDomain(var, BASE_REAL, interval=(None, False, value, False))
-    if rel == ">":
-        return VariableDomain(var, BASE_REAL, interval=(value, True, None, False))
-    if rel in ("\\ge", "\\geq"):
-        return VariableDomain(var, BASE_REAL, interval=(value, False, None, False))
-    return None
+    if kind in ("lt", "le"):
+        return VariableDomain(var, BASE_REAL, interval=(None, False, value, kind == "lt"))
+    return VariableDomain(var, BASE_REAL, interval=(value, kind == "gt", None, False))
 
 
 # --- domain checking ---

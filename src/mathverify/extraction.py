@@ -22,17 +22,13 @@ from .errors import (
     MathVerifyError,
     UnclosedEnvironment,
 )
-from . import parser
-from .parser import Token, TokenCategory, tokenize
+from .parser import RELATION_SPELLINGS, Token, TokenCategory, join_token_texts, tokenize
 
 
 FORMULA_ENVIRONMENTS = ("equation", "equationmix", "equationgroup", "align")
 
 # Relation spellings that make an expression verifiable at all.
-RELATION_TEXTS = {
-    "=", "<", ">",
-    "\\ne", "\\neq", "\\le", "\\leq", "\\ge", "\\geq", "\\to", "\\equiv",
-}
+RELATION_TEXTS = frozenset(RELATION_SPELLINGS)
 
 # Control words whose presence culls a record in scan two.
 CULL_CONTROL_WORDS = {
@@ -217,16 +213,7 @@ def _apply_substitutions(latex: str, rules: Sequence[tuple[list[str], str]]) -> 
                 out.append(texts[i])
                 i += 1
         texts = out
-    return _join_token_texts(texts)
-
-
-def _join_token_texts(texts: Sequence[str]) -> str:
-    parts: list[str] = []
-    for t in texts:
-        if parts and parser._needs_space(parts[-1], t):
-            parts.append(" ")
-        parts.append(t)
-    return "".join(parts)
+    return join_token_texts(texts)
 
 
 # --- scan one ---
@@ -435,10 +422,6 @@ def _has_cull_word(tokens: list[Token]) -> bool:
 
 def _contains_relation(tokens: Optional[list[Token]]) -> bool:
     return tokens is not None and any(t.text in RELATION_TEXTS for t in tokens)
-
-
-def _has_relation(latex: str) -> bool:
-    return _contains_relation(_try_tokenize(latex))
 
 
 def expand_preamble_macros(latex: str, macros: Sequence[PreambleMacro]) -> str:

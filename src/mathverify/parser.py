@@ -1,13 +1,18 @@
-"""Semantic LaTeX tokenizer and parse-tree builder.
+"""Semantic LaTeX tokenizer, lexicon, and parser.
 
 The tokenizer classifies characters of a single-line formula or constraint
-string into part-of-math categories.  The parser turns the token stream
-into a tree in which every semantic macro (a control sequence listed in
-the macro table, with parameters and arguments separated by ``@``/``@@``)
-becomes a MacroApp node with arity-checked children.  Control sequences
-that are not in the table parse as opaque leaves; rejecting them is the
-translator's job, which is what makes per-macro failure statistics
-possible downstream.
+string into part-of-math categories.  The lexicon below it is the one
+place that decides what a token is beyond its category: which spellings
+are relations and which relation kind each denotes, which tokens name a
+variable, which names are pattern placeholders, and how tokens join back
+into text.  Extraction, translation, constraint interpretation and the
+rewrite rules all read these decisions from here.  The parser turns the
+token stream into a tree in which every semantic macro (a control
+sequence listed in the macro table, with parameters and arguments
+separated by ``@``/``@@``) becomes a MacroApp node with arity-checked
+children.  Control sequences that are not in the table parse as opaque
+leaves; rejecting them is the translator's job, which is what makes
+per-macro failure statistics possible downstream.
 """
 
 from __future__ import annotations
@@ -50,24 +55,66 @@ class Token:
     byte_offset: int = field(compare=False, default=-1)
 
 
-# Control words that act as relations or operators rather than operands.
-RELATION_CONTROL_WORDS = {
+# Relation spellings and the relation kind each denotes (the `ir.REL_*`
+# strings).  ``\in`` lexes as a relation too, but it ties a variable to a
+# set, never two formula sides, so it has no kind.
+RELATION_SPELLINGS = {
+    "=": "eq", "<": "lt", ">": "gt",
     "\\ne": "ne", "\\neq": "ne",
     "\\le": "le", "\\leq": "le",
     "\\ge": "ge", "\\geq": "ge",
     "\\to": "to",
     "\\equiv": "equiv",
-    "\\in": "in",
 }
+_RELATION_TOKEN_TEXTS = frozenset(RELATION_SPELLINGS) | {"\\in"}
 
 OPERATOR_CONTROL_WORDS = {"\\pm", "\\mp", "\\cdot", "\\times", "\\div", "\\ast"}
 
-RELATION_CHARS = {"=": "eq", "<": "lt", ">": "gt"}
 OPERATOR_CHARS = set("+-*/")
 OTHER_CHARS = set("()[]|!'.:;")
 
 _LETTERS = set(string.ascii_letters)
 _DIGITS = set(string.digits)
+
+GREEK_LETTERS = frozenset({
+    "alpha", "beta", "gamma", "delta", "epsilon", "varepsilon", "zeta", "eta",
+    "theta", "vartheta", "iota", "kappa", "lambda", "mu", "nu", "xi", "pi",
+    "rho", "varrho", "sigma", "varsigma", "tau", "upsilon", "phi", "varphi",
+    "chi", "psi", "omega",
+    "Gamma", "Delta", "Theta", "Lambda", "Xi", "Pi", "Sigma", "Upsilon",
+    "Phi", "Psi", "Omega",
+})
+
+
+def is_placeholder_name(name: str) -> bool:
+    """Whether ``name`` is a pattern placeholder, ``var`` or ``varN``, as
+    blueprint and rewrite-rule patterns spell them."""
+    return name.startswith("var") and (len(name) == 3 or name[3:].isdecimal())
+
+
+def variable_name(token: Token) -> Optional[str]:
+    """The variable a token names: a letter (or placeholder word) names
+    itself, a Greek control word its name without the backslash; any other
+    token names none."""
+    if token.category is TokenCategory.LETTER:
+        return token.text
+    if token.category is TokenCategory.CONTROL_SEQUENCE and token.text[1:] in GREEK_LETTERS:
+        return token.text[1:]
+    return None
+
+
+def join_token_texts(texts: Iterable[str]) -> str:
+    """Token texts back to one string, spaced only where a control word
+    would otherwise swallow the letters after it."""
+    parts: list[str] = []
+    prev = ""
+    for text in texts:
+        if len(prev) > 1 and prev[0] == "\\" and prev[1] in _LETTERS \
+                and text and text[0] in _LETTERS:
+            parts.append(" ")
+        parts.append(text)
+        prev = text
+    return "".join(parts)
 
 
 def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
@@ -100,7 +147,7 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
                 j += 1
                 word = text[i:j]
             i = j
-            if word in RELATION_CONTROL_WORDS:
+            if word in _RELATION_TOKEN_TEXTS:
                 cat = TokenCategory.RELATION
             elif word in OPERATOR_CONTROL_WORDS:
                 cat = TokenCategory.OPERATOR
@@ -127,7 +174,7 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
                 while k < n and text[k] in _DIGITS:
                     k += 1
                 word = text[i:k]
-                if word == "var" or (word.startswith("var") and word[3:].isdigit()):
+                if is_placeholder_name(word):
                     tokens.append(Token(word, TokenCategory.LETTER, start))
                     i = k
                     continue
@@ -159,7 +206,7 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
         elif ch == ",":
             tokens.append(Token(ch, TokenCategory.COMMA, start))
             i += 1
-        elif ch in RELATION_CHARS:
+        elif ch in _RELATION_TOKEN_TEXTS:
             tokens.append(Token(ch, TokenCategory.RELATION, start))
             i += 1
         elif ch in OPERATOR_CHARS:
@@ -504,20 +551,4 @@ def _flatten_braced(node: ParseNode, out: list[Token]) -> None:
 
 def render(node: ParseNode) -> str:
     """Render a parse tree back to semantic LaTeX."""
-    parts: list[str] = []
-    for tok in flatten_tokens(node):
-        if parts and _needs_space(parts[-1], tok.text):
-            parts.append(" ")
-        parts.append(tok.text)
-    return "".join(parts)
-
-
-def _needs_space(prev: str, nxt: str) -> bool:
-    # A control word swallows following letters; separate them.
-    return (
-        len(prev) > 1
-        and prev.startswith("\\")
-        and prev[1] in _LETTERS
-        and bool(nxt)
-        and nxt[0] in _LETTERS
-    )
+    return join_token_texts(tok.text for tok in flatten_tokens(node))

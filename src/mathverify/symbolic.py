@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -53,8 +52,9 @@ from .normform import (
     is_one_form,
     is_zero_form,
     norm,
+    norm_plain,
 )
-from .parser import MacroTable, parse, tokenize
+from .parser import MacroTable, is_placeholder_name, parse, tokenize
 from .translate import TranslationTable, to_expr
 
 # Preprocessor identifiers.
@@ -77,8 +77,6 @@ CLASS_ONE = "one"
 CLASS_OTHER_NUMERIC = "other_numeric"
 CLASS_UNSIMPLIFIED = "unsimplified"
 CLASS_ERROR = "error"
-
-_PLACEHOLDER_RE = re.compile(r"var\d*\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +280,7 @@ def _condition_holds(
 # --- pattern matching ---
 
 def _is_placeholder(expr: Expr) -> bool:
-    return isinstance(expr, Var) and _PLACEHOLDER_RE.match(expr.name) is not None
+    return isinstance(expr, Var) and is_placeholder_name(expr.name)
 
 
 def match_pattern(pattern: Expr, subject: Expr,
@@ -442,7 +440,6 @@ def expand(expr: Expr, *, budget: int = 500_000,
     """Distribute products over sums and integer powers of sums; the
     result is a flattened, collected sum in canonical order.  ``memo``
     shares normal forms as in `simplify`."""
-    from .normform import norm_plain
     ctx = NormContext(budget=budget, memo=memo)
     return emit(norm_plain(expr, ctx))
 
@@ -704,16 +701,19 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
     would, whatever the memo reused."""
     config = config or SimplifyConfig()
     ctx = NormContext(budget=config.rewrite_step_budget, memo=memo)
+    rule_budget = max(1, config.rewrite_step_budget // 10)
+    rule_steps = None  # set once the rule stage has finished
     try:
         e = resolve_derivatives(expr)
         e, rule_steps = apply_rules(
-            e, config.rules, config.assumptions,
-            budget=max(1, config.rewrite_step_budget // 10),
+            e, config.rules, config.assumptions, budget=rule_budget,
         )
         e = reduce_bessel_orders(e, ctx)
         rf = norm(e, ctx)
     except BudgetExceeded:
-        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=ctx.steps), expr
+        # The rewriter raises on the step one past its budget.
+        steps = rule_budget + 1 if rule_steps is None else ctx.steps
+        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps), expr
     except SymbolicError as exc:
         return (
             SymbolicOutcome(CLASS_ERROR, error_kind=type(exc).__name__,
@@ -782,7 +782,9 @@ def verify_symbolic(
     @functools.cache
     def expanded() -> Optional[tuple[Expr, Expr]]:
         try:
-            return expand(rel.lhs, memo=memo), expand(rel.rhs, memo=memo)
+            budget = config.rewrite_step_budget
+            return (expand(rel.lhs, budget=budget, memo=memo),
+                    expand(rel.rhs, budget=budget, memo=memo))
         except (BudgetExceeded, SymbolicError):
             return None
 

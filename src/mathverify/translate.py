@@ -31,30 +31,21 @@ from .ir import (
     Relation,
     Var,
 )
-from .parser import NodeKind, ParseNode, Token, TokenCategory
-
-GREEK_LETTERS = {
-    "alpha", "beta", "gamma", "delta", "epsilon", "varepsilon", "zeta", "eta",
-    "theta", "vartheta", "iota", "kappa", "lambda", "mu", "nu", "xi", "pi",
-    "rho", "varrho", "sigma", "varsigma", "tau", "upsilon", "phi", "varphi",
-    "chi", "psi", "omega",
-    "Gamma", "Delta", "Theta", "Lambda", "Xi", "Pi", "Sigma", "Upsilon",
-    "Phi", "Psi", "Omega",
-}
+from .numeric import NUMERIC_FUNCTIONS
+from .parser import (
+    RELATION_SPELLINGS,
+    NodeKind,
+    ParseNode,
+    Token,
+    TokenCategory,
+    variable_name,
+)
 
 _CONST_MEANINGS = {
     "const:imaginary_unit": ir.IMAGINARY_UNIT,
     "const:euler_e": ir.EULER_E,
     "const:pi": ir.PI,
     "const:euler_gamma": ir.EULER_GAMMA,
-}
-
-_RELATION_TOKEN_KINDS = {
-    "=": ir.REL_EQ, "<": ir.REL_LT, ">": ir.REL_GT,
-    "\\ne": ir.REL_NE, "\\neq": ir.REL_NE,
-    "\\le": ir.REL_LE, "\\leq": ir.REL_LE,
-    "\\ge": ir.REL_GE, "\\geq": ir.REL_GE,
-    "\\to": ir.REL_TO, "\\equiv": ir.REL_EQUIV,
 }
 
 # Every function id the IR may carry, whether or not it has numeric support.
@@ -95,6 +86,8 @@ class TranslationEntry:
 class TranslationTable:
     def __init__(self, entries: Sequence[TranslationEntry]):
         self._by_meaning: dict[str, TranslationEntry] = {}
+        # The first entry of an IR id wins: elliptic_k has two.
+        self._by_ir_id: dict[str, TranslationEntry] = {}
         for e in entries:
             if e.meaning_id in self._by_meaning:
                 raise MalformedEntry(f"duplicate translation entry {e.meaning_id!r}")
@@ -103,8 +96,8 @@ class TranslationTable:
             if e.arg_rewrite not in ARG_REWRITES:
                 raise MalformedEntry(f"{e.meaning_id}: unknown arg rewrite {e.arg_rewrite!r}")
             self._by_meaning[e.meaning_id] = e
+            self._by_ir_id.setdefault(e.ir_id, e)
         numeric_ok = {e.ir_id for e in entries if e.numeric_support}
-        from .numeric import NUMERIC_FUNCTIONS  # registry check, no cycle
         missing = numeric_ok - NUMERIC_FUNCTIONS
         if missing:
             raise MalformedEntry(f"numeric support claimed but not implemented: {sorted(missing)}")
@@ -113,10 +106,7 @@ class TranslationTable:
         return self._by_meaning.get(meaning_id)
 
     def by_ir_id(self, ir_id: str) -> Optional[TranslationEntry]:
-        for e in self._by_meaning.values():
-            if e.ir_id == ir_id:
-                return e
-        return None
+        return self._by_ir_id.get(ir_id)
 
     def __iter__(self):
         return iter(self._by_meaning.values())
@@ -168,12 +158,10 @@ class _Translator:
     def leaf(self, token: Token) -> Expr:
         if token.category is TokenCategory.DIGIT:
             return Number(Fraction(token.text))
-        if token.category is TokenCategory.LETTER:
-            return Var(token.text)
+        name = variable_name(token)
+        if name is not None:
+            return Var(name)
         if token.category is TokenCategory.CONTROL_SEQUENCE:
-            name = token.text[1:]
-            if name in GREEK_LETTERS:
-                return Var(name)
             if token.text == "\\infty":
                 return Const(ir.INFINITY)
             raise UnknownMacro(f"no known translation for {token.text!r}")
@@ -320,12 +308,9 @@ class _Translator:
 
     def _plain_text(self, node: ParseNode) -> Optional[str]:
         if node.kind is NodeKind.LEAF and node.token is not None:
-            if node.token.category in (TokenCategory.LETTER, TokenCategory.DIGIT):
+            if node.token.category is TokenCategory.DIGIT:
                 return node.token.text
-            if node.token.category is TokenCategory.CONTROL_SEQUENCE and \
-                    node.token.text[1:] in GREEK_LETTERS:
-                return node.token.text[1:]
-            return None
+            return variable_name(node.token)
         if node.kind in (NodeKind.GROUP, NodeKind.ROW):
             parts = [self._plain_text(c) for c in node.children]
             if all(p is not None for p in parts):
@@ -458,10 +443,10 @@ class _Translator:
 def _split_relation_items(tree: ParseNode) -> tuple[str, list[ParseNode], list[ParseNode]]:
     items = list(tree.children) if tree.kind is NodeKind.ROW else [tree]
     rel_positions = [
-        (i, _RELATION_TOKEN_KINDS[n.token.text])
+        (i, RELATION_SPELLINGS[n.token.text])
         for i, n in enumerate(items)
         if n.kind is NodeKind.LEAF and n.token is not None
-        and n.token.text in _RELATION_TOKEN_KINDS
+        and n.token.text in RELATION_SPELLINGS
     ]
     if not rel_positions:
         raise UnsupportedGrammar("no relation at the top level")

@@ -195,6 +195,15 @@ def test_split_three_relation_chain():
     assert atoms == ["x \\ge 0", "x < y", "y \\le 1"]
 
 
+def test_flipped_spellings_denote_the_converse_relation():
+    from mathverify.constraints import _CONVERSE, _FLIP
+    from mathverify.parser import RELATION_SPELLINGS
+    assert set(_FLIP) == {t for t, k in RELATION_SPELLINGS.items() if k in _CONVERSE}
+    for text, flipped in _FLIP.items():
+        assert RELATION_SPELLINGS[flipped] == _CONVERSE[RELATION_SPELLINGS[text]]
+        assert _FLIP[flipped] == text and len(flipped) == len(text)
+
+
 _REL_FUNCS = {
     "<": lambda a, b: a < b,
     ">": lambda a, b: a > b,
@@ -296,6 +305,73 @@ def test_domain_from_atomic_flips_sides():
     domain = domain_from_atomic("0 < x")
     assert domain.var == "x"
     assert domain.interval == (Fraction(0), True, None, False)
+
+
+# Value-list elements and atomic bounds read signed rationals the same way:
+# an optional leading + or -, then N or N/M.
+
+def test_value_list_elements_with_plus_sign():
+    domains = interpret_set_notation(ptree(r"k=+1,+2,\dots,+7"))
+    assert domains[0].progression == (Fraction(1), Fraction(1), Fraction(7))
+    assert domains[0].base_set == "integer"
+
+
+def test_value_list_elements_as_fractions():
+    domains = interpret_set_notation(ptree(r"k=1/2,3/2,-5/2"))
+    assert domains[0].finite_set == (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 2))
+    assert domains[0].base_set == "rational"
+    domains = interpret_set_notation(ptree(r"k=-1/2,+1/2,\dots"))
+    assert domains[0].progression == (Fraction(-1, 2), Fraction(1), None)
+
+
+def test_value_list_symbolic_endpoint_with_plus_sign():
+    domains = interpret_set_notation(ptree(r"k=1,2,\dots,+N"))
+    assert domains[0].progression == (Fraction(1), Fraction(1), None)
+    with pytest.raises(ConstraintError):
+        interpret_set_notation(ptree(r"k=1,2,\dots,-N"))
+    with pytest.raises(ConstraintError):
+        interpret_set_notation(ptree(r"k=1,2,\dots,N/2"))
+
+
+@pytest.mark.parametrize("atomic, interval", [
+    ("x < +2", (None, False, Fraction(2), True)),
+    ("x > -3/4", (Fraction(-3, 4), True, None, False)),
+    (r"x \le +1/2", (None, False, Fraction(1, 2), False)),
+    ("+5/3 < x", (Fraction(5, 3), True, None, False)),
+    (r"-1/2 \geq x", (None, False, Fraction(-1, 2), False)),
+])
+def test_domain_from_atomic_signed_rationals(atomic, interval):
+    domain = domain_from_atomic(atomic)
+    assert domain.var == "x"
+    assert domain.interval == interval
+
+
+def test_domain_from_atomic_without_a_literal_side():
+    assert domain_from_atomic("x < y") is None
+    assert domain_from_atomic("x < 1/y") is None
+    assert domain_from_atomic("x < 1 2") is None
+
+
+def test_domain_from_atomic_on_untokenizable_text():
+    assert domain_from_atomic("x < 1}") is None
+    assert domain_from_atomic("x < #") is None
+
+
+def test_zero_denominator_is_not_a_literal():
+    # N/0 used to raise ZeroDivisionError out of interpret_constraints.
+    assert domain_from_atomic("x < 1/0") is None
+    assert domain_from_atomic(r"-1/0 \le x") is None
+    with pytest.raises(ConstraintError):
+        interpret_set_notation(ptree(r"k=0,1/0,\dots"))
+    texts = ["x < 1/0", "n=1/0", r"k=0,1/0,\dots"]
+    interp = interpret_constraints(texts, [])
+    assert interp.unmatched == texts
+    assert interp.domains == []
+
+
+def test_domain_from_atomic_on_two_relations():
+    assert domain_from_atomic("0 < x < 1") is None
+    assert domain_from_atomic(r"x \ne 0 \ne y") is None
 
 
 def test_shipped_blueprints_self_consistent(tables):

@@ -115,9 +115,11 @@ def test_scan_second_idempotent(scans):
 
 
 def test_every_output_contains_relation(scans):
-    from mathverify.extraction import _has_relation
+    from mathverify.extraction import RELATION_TEXTS
+    from mathverify.parser import tokenize
     _, _, second = scans
-    assert all(_has_relation(r.latex) for r in second)
+    assert all(any(t.text in RELATION_TEXTS for t in tokenize(r.latex))
+               for r in second)
 
 
 def test_split_provenance_resolves(scans):

@@ -23,7 +23,6 @@ from mathverify.extraction import (
     FormulaRecord,
     PreambleMacro,
     _apply_substitutions,
-    _join_token_texts,
     _tokenize_patterns,
     _top_level_relations,
     expand_preamble_macros,
@@ -31,7 +30,7 @@ from mathverify.extraction import (
     scan_first,
     scan_second,
 )
-from mathverify.parser import Token, TokenCategory, tokenize
+from mathverify.parser import Token, TokenCategory, join_token_texts, tokenize
 from mathverify.pipeline import data_text
 
 HALF = PreambleMacro("\\half", 1, "\\frac{#1}{2}")
@@ -159,7 +158,7 @@ def ref_apply_substitutions(latex: str, rules) -> str:
                 out.append(texts[i])
                 i += 1
         texts = out
-    return _join_token_texts(texts)
+    return join_token_texts(texts)
 
 
 def _result(scan, *args):

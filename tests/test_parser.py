@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from mathverify import ir
 from mathverify.errors import (
     ArityMismatch,
     DuplicateMacroName,
@@ -8,14 +11,18 @@ from mathverify.errors import (
     UnbalancedBraces,
 )
 from mathverify.parser import (
+    RELATION_SPELLINGS,
     MacroTable,
     NodeKind,
     SemanticMacroDef,
     TokenCategory,
+    is_placeholder_name,
+    join_token_texts,
     load_macro_table,
     parse,
     render,
     tokenize,
+    variable_name,
 )
 
 
@@ -71,6 +78,8 @@ def test_tokenize_placeholder_mode_merges_var_tokens():
     assert [t.text for t in tokens] == ["0", "<", "var", "<", "1"]
     tokens = tokenize(r"var1, var2 \in \Real", placeholders=True)
     assert [t.text for t in tokens] == ["var1", ",", "var2", "\\in", "\\Real"]
+    tokens = tokenize("var12 < variable", placeholders=True)
+    assert [t.text for t in tokens][:3] == ["var12", "<", "v"]
 
 
 def test_token_concatenation_reproduces_input_modulo_whitespace():
@@ -198,13 +207,51 @@ def test_parse_paren_group_carries_scripts(tables):
 
 def test_render_round_trip_over_corpus(tables, mini_corpus):
     for record in mini_corpus:
-        first = parse(tokenize(record.latex), tables.macro_table)
-        text = render(first)
-        again = parse(tokenize(text), tables.macro_table)
-        assert first == again, record.id
+        for source in (record.latex, *record.constraints):
+            first = parse(tokenize(source), tables.macro_table)
+            text = render(first)
+            again = parse(tokenize(text), tables.macro_table)
+            assert first == again, (record.id, source)
 
 
 def test_render_separates_control_words():
     table = MacroTable(())
     tree = parse(tokenize(r"\alpha x"), table)
     assert render(tree) == "\\alpha x"
+
+
+# --- lexicon ---
+
+def test_relation_kinds_are_the_ir_kinds():
+    assert set(RELATION_SPELLINGS.values()) == set(ir.RELATION_KINDS)
+
+
+def test_every_relation_spelling_lexes_as_one_relation_token():
+    # \in lexes as a relation too, but relates no two formula sides.
+    assert r"\in" not in RELATION_SPELLINGS
+    for text in (*RELATION_SPELLINGS, r"\in"):
+        assert [(t.text, t.category) for t in tokenize(text)] == \
+            [(text, TokenCategory.RELATION)]
+
+
+@pytest.mark.parametrize("name", [
+    "var", "var1", "var12", "va", "vars", "var1a", "xvar", "Var1", "variable",
+    "var_1", "v", "", "var\u0661",
+])
+def test_placeholder_names_are_var_and_var_digits(name):
+    assert is_placeholder_name(name) == bool(re.match(r"var\d*\Z", name))
+
+
+def test_variable_names_of_tokens():
+    names = [variable_name(t) for t in tokenize(r"x \alpha \Gamma \GammaFn 1 + var2",
+                                                placeholders=True)]
+    assert names == ["x", "alpha", "Gamma", None, None, None, "var2"]
+
+
+def test_join_token_texts_spaces_only_after_control_words():
+    assert join_token_texts([r"\alpha", "x"]) == r"\alpha x"
+    assert join_token_texts([r"\alpha", "_", "x"]) == r"\alpha_x"
+    assert join_token_texts([r"\alpha", "1"]) == r"\alpha1"
+    assert join_token_texts([r"\,", "x"]) == r"\,x"
+    assert join_token_texts(["x", "y", "", r"\beta"]) == r"xy\beta"
+    assert join_token_texts([]) == ""

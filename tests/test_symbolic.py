@@ -194,6 +194,44 @@ def test_simplify_budget_exhaustion_is_unsimplified(tables):
     assert residual == expr
 
 
+@pytest.mark.parametrize("latex, budget, steps", [
+    # The rewrite rules get a tenth of the budget, at least one step; the
+    # rewriter raises on the step past it.
+    (r"\tan@{x}\cot@{x} = 1", 1, 2),
+    (r"\tan@{x}\cot@{x} = 1", 5, 2),
+    (r"\tan@{x}\cot@{x} = 1", 19, 2),
+    (r"\tan@{x}\cot@{x} + \tan@{y}\cot@{y} + \tan@{z}\cot@{z} = 3", 30, 4),
+    (r"\tan@{x}\cot@{x} + \tan@{y}\cot@{y} + \tan@{z}\cot@{z} = 3", 59, 6),
+    # The rules finish and normalization runs out.
+    (r"\tan@{x}\cot@{x} = 1", 20, 21),
+])
+def test_rule_stage_exhaustion_reports_the_rewriters_steps(tables, latex, budget, steps):
+    config = default_config(tables, mode=MODE_DIFFERENCE, preprocessors=(PRE_NONE,),
+                            rewrite_step_budget=budget)
+    rel = tr(latex, tables)
+    out = verify_symbolic(rel, (), config)
+    assert (out.classification, out.steps_used) == (CLASS_UNSIMPLIFIED, steps)
+    out, _ = simplify(ir.sub(rel.lhs, rel.rhs), config)
+    assert (out.classification, out.steps_used) == (CLASS_UNSIMPLIFIED, steps)
+
+
+def test_expansion_gets_the_configured_budget(tables, monkeypatch):
+    budgets = []
+    real_expand = symbolic.expand
+
+    def recording_expand(expr, **kw):
+        budgets.append(kw.get("budget"))
+        return real_expand(expr, **kw)
+
+    monkeypatch.setattr(symbolic, "expand", recording_expand)
+    rel = tr(r"(x+1)^2 = x^2 + 2x + 1", tables)
+    for budget in (37, 12_345):
+        budgets.clear()
+        verify_symbolic(rel, (), default_config(
+            tables, preprocessors=(PRE_EXPAND,), rewrite_step_budget=budget))
+        assert budgets == [budget, budget]
+
+
 # --- verify_symbolic ---
 
 def test_verify_sinh_definition_via_none(tables):

@@ -27,7 +27,12 @@ from mathverify.ir import (
     free_variables,
 )
 from mathverify.parser import parse, tokenize
-from mathverify.translate import to_relation
+from mathverify.translate import (
+    KNOWN_IR_FUNCTIONS,
+    TranslationEntry,
+    TranslationTable,
+    to_relation,
+)
 
 
 def tr(latex, tables):
@@ -44,6 +49,21 @@ def test_elliptic_convention_rewrite(tables):
         "elliptic_k", (),
         (ir.add(ir.ONE, ir.neg_term(Pow(Var("k"), Number(Fraction(2))))),),
     )
+
+
+def test_by_ir_id_index_matches_a_scan(tables):
+    entries = list(tables.translation_table)
+    for ir_id in KNOWN_IR_FUNCTIONS | {"no_such_function"}:
+        first = next((e for e in entries if e.ir_id == ir_id), None)
+        assert tables.translation_table.by_ir_id(ir_id) is first, ir_id
+    assert sum(e.ir_id == "elliptic_k" for e in entries) == 2
+
+
+def test_by_ir_id_first_entry_wins():
+    first = TranslationEntry("fn:a", "sin", "sin", True)
+    second = TranslationEntry("fn:b", "sin", "Sin", True)
+    assert TranslationTable([first, second]).by_ir_id("sin") is first
+    assert TranslationTable([second, first]).by_ir_id("sin") is second
 
 
 def test_prime_notation_insufficient_semantics(tables):

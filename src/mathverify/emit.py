@@ -2,9 +2,12 @@
 
 MapleSyntax emission produces strings a Maple session can consume
 directly, keeping an external cross-check path open even though
-verification itself runs on the internal engine.  GenericInfix is the
-package's own plain-text dialect; ``parse_infix`` reads it back and
-round-trips structurally.
+verification itself runs on the internal engine.  Maple function names
+come only from the translation table's Maple column
+(``TranslationTable.by_ir_id``); this module keeps only Maple's argument
+conventions (elliptic modulus, Jacobi's degree first, hypergeometric
+bracket lists).  GenericInfix is the package's own plain-text dialect;
+``parse_infix`` reads it back and round-trips structurally.
 """
 
 from __future__ import annotations
@@ -111,67 +114,36 @@ class _Emitter:
         return f"{name}({', '.join(self.emit(a) for a in args)})"
 
     def _function(self, expr: FunctionApp) -> str:
+        func, params, args = expr.func, expr.params, expr.args
         if self.dialect == DIALECT_GENERIC:
-            if expr.func == "genhyper":
-                p = int(expr.params[0].value)  # type: ignore[union-attr]
-                q = int(expr.params[1].value)  # type: ignore[union-attr]
-                nums = ", ".join(self.emit(a) for a in expr.args[:p])
-                dens = ", ".join(self.emit(a) for a in expr.args[p:p + q])
-                z = self.emit(expr.args[p + q])
-                return f"genhyper([{nums}], [{dens}], {z})"
-            return self._call(expr.func, expr.params + expr.args)
-        return self._maple_function(expr)
-
-    def _maple_function(self, expr: FunctionApp) -> str:
-        func = expr.func
+            name = func
+        else:
+            name = self._maple_name(func)
+            if func in ("elliptic_k", "elliptic_e"):
+                # The IR carries the parameter m; Maple's elliptic functions
+                # take the modulus k = sqrt(m).
+                m = args[0]
+                if isinstance(m, Pow) and m.exponent == ir.num(2):
+                    args = (m.base,)
+                else:
+                    args = (ir.power(m, ir.HALF),)
+            elif func == "jacobi_poly":
+                # Maple takes the degree first.
+                alpha, beta, n = params
+                params = (n, alpha, beta)
         if func == "genhyper":
-            p = int(expr.params[0].value)  # type: ignore[union-attr]
-            q = int(expr.params[1].value)  # type: ignore[union-attr]
-            nums = ", ".join(self.emit(a) for a in expr.args[:p])
-            dens = ", ".join(self.emit(a) for a in expr.args[p:p + q])
-            z = self.emit(expr.args[p + q])
-            return f"hypergeom([{nums}], [{dens}], {z})"
-        if func in ("elliptic_k", "elliptic_e"):
-            # The IR carries the parameter m; Maple's elliptic functions
-            # take the modulus k = sqrt(m).
-            m = expr.args[0]
-            if isinstance(m, Pow) and m.exponent == ir.num(2):
-                modulus = m.base
-            else:
-                modulus = ir.power(m, ir.HALF)
-            name = "EllipticK" if func == "elliptic_k" else "EllipticE"
-            return self._call(name, (modulus,))
-        if func == "jacobi_poly":
-            alpha, beta, n = expr.params
-            return self._call("JacobiP", (n, alpha, beta, expr.args[0]))
-        name = self._maple_name(func)
-        return self._call(name, expr.params + expr.args)
+            p = int(params[0].value)  # type: ignore[union-attr]
+            q = int(params[1].value)  # type: ignore[union-attr]
+            nums = ", ".join(self.emit(a) for a in args[:p])
+            dens = ", ".join(self.emit(a) for a in args[p:p + q])
+            return f"{name}([{nums}], [{dens}], {self.emit(args[p + q])})"
+        return self._call(name, params + args)
 
     def _maple_name(self, func: str) -> str:
-        if self.table is not None:
-            entry = self.table.by_ir_id(func)
-            if entry is not None:
-                if entry.maple_name is None:
-                    raise NoDialectMapping(f"{func} has no Maple spelling")
-                return entry.maple_name
-        builtin = {
-            "sin": "sin", "cos": "cos", "tan": "tan",
-            "sec": "sec", "csc": "csc", "cot": "cot",
-            "sinh": "sinh", "cosh": "cosh", "tanh": "tanh",
-            "sech": "sech", "csch": "csch", "coth": "coth",
-            "arcsin": "arcsin", "arccos": "arccos", "arctan": "arctan",
-            "ln": "ln", "gamma": "GAMMA", "log_gamma": "lnGAMMA",
-            "erf": "erf", "erfc": "erfc",
-            "bessel_j": "BesselJ", "bessel_y": "BesselY",
-            "bessel_i": "BesselI", "bessel_k": "BesselK",
-            "laguerre_poly": "LaguerreL", "hermite_poly": "HermiteH",
-            "cheby_t": "ChebyshevT", "cheby_u": "ChebyshevU",
-            "legendre_poly": "LegendreP",
-            "binomial": "binomial", "pochhammer": "pochhammer",
-        }
-        if func in builtin:
-            return builtin[func]
-        raise NoDialectMapping(f"{func} has no Maple spelling")
+        entry = self.table.by_ir_id(func) if self.table is not None else None
+        if entry is None or entry.maple_name is None:
+            raise NoDialectMapping(f"{func} has no Maple spelling")
+        return entry.maple_name
 
     def _derivative(self, expr: Derivative) -> str:
         f = self.emit(expr.operand)

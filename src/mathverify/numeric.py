@@ -8,6 +8,9 @@ outcome against the configured threshold.  Timeout enforcement is
 cooperative: every evaluation step and series loop polls a deadline.
 Each function value is computed once per formula: both sides share one
 value table across all assignments, and nothing is kept across formulae.
+The evaluator table ``_EVALUATORS`` is the one list of evaluable function
+ids: ``NUMERIC_FUNCTIONS`` is its key set, and the translation table's
+numeric flags are checked against it.
 """
 
 from __future__ import annotations
@@ -47,20 +50,6 @@ from .ir import (
 )
 
 DEFAULT_TEST_VALUES = (Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
-
-# Function ids the kernel can evaluate.
-NUMERIC_FUNCTIONS = frozenset({
-    "sin", "cos", "tan", "sec", "csc", "cot",
-    "sinh", "cosh", "tanh", "sech", "csch", "coth",
-    "arcsin", "arccos", "arctan", "ln",
-    "gamma", "log_gamma", "erf", "erfc",
-    "bessel_j", "bessel_y", "bessel_i", "bessel_k",
-    "genhyper",
-    "jacobi_poly", "laguerre_poly", "hermite_poly",
-    "cheby_t", "cheby_u", "legendre_poly",
-    "elliptic_k", "elliptic_e",
-    "binomial", "pochhammer",
-})
 
 MODE_ABSOLUTE = "absolute"
 MODE_RELATIVE = "relative"
@@ -259,67 +248,25 @@ def _eval_function(expr: FunctionApp, assign: dict, ctx: EvalContext):
     return value
 
 
-# One-argument functions that map straight onto an mpmath function.
-_SIMPLE_FUNCTIONS = {
-    "sin": mp.sin, "cos": mp.cos, "tan": mp.tan,
-    "sec": mp.sec, "csc": mp.csc, "cot": mp.cot,
-    "sinh": mp.sinh, "cosh": mp.cosh, "tanh": mp.tanh,
-    "sech": mp.sech, "csch": mp.csch, "coth": mp.coth,
-    "arcsin": mp.asin, "arccos": mp.acos, "arctan": mp.atan,
-    "gamma": mp.gamma, "erf": mp.erf, "erfc": mp.erfc,
-}
+def _flag_negative_real(z, ctx: EvalContext) -> None:
+    # On the negative reals the principal branch decides the value.
+    if _is_real(z) and mp.re(z) < 0:
+        ctx.branch_sensitive = True
 
 
-def _dispatch(func: str, params: list, args: list, ctx: EvalContext):
-    if func == "ln":
-        if _is_real(args[0]) and mp.re(args[0]) < 0:
-            ctx.branch_sensitive = True
-        if args[0] == 0:
-            raise PoleOrSingularity("log of zero")
-        return mp.log(args[0])
-    if func == "log_gamma":
-        if _is_real(args[0]) and mp.re(args[0]) < 0:
-            ctx.branch_sensitive = True
-        return mp.loggamma(args[0])
-    simple = _SIMPLE_FUNCTIONS.get(func)
-    if simple is not None:
-        return simple(args[0])
-    if func == "bessel_j":
-        return mp.besselj(params[0], args[0])
-    if func == "bessel_y":
-        return mp.bessely(params[0], args[0])
-    if func == "bessel_i":
-        return mp.besseli(params[0], args[0])
-    if func == "bessel_k":
-        return mp.besselk(params[0], args[0])
-    if func == "genhyper":
-        return _eval_genhyper(params, args)
-    if func == "jacobi_poly":
-        alpha, beta, n = params
-        return mp.jacobi(n, alpha, beta, args[0])
-    if func == "laguerre_poly":
-        n, alpha = params
-        return mp.laguerre(n, alpha, args[0])
-    if func == "hermite_poly":
-        return mp.hermite(params[0], args[0])
-    if func == "cheby_t":
-        return mp.chebyt(params[0], args[0])
-    if func == "cheby_u":
-        return mp.chebyu(params[0], args[0])
-    if func == "legendre_poly":
-        return mp.legendre(params[0], args[0])
-    if func == "elliptic_k":
-        return mp.ellipk(args[0])
-    if func == "elliptic_e":
-        return mp.ellipe(args[0])
-    if func == "binomial":
-        return mp.binomial(args[0], args[1])
-    if func == "pochhammer":
-        return mp.rf(args[0], args[1])
-    raise NumericallyUnsupported(func)
+def _ln(params: list, args: list, ctx: EvalContext):
+    _flag_negative_real(args[0], ctx)
+    if args[0] == 0:
+        raise PoleOrSingularity("log of zero")
+    return mp.log(args[0])
 
 
-def _eval_genhyper(params: list, args: list):
+def _log_gamma(params: list, args: list, ctx: EvalContext):
+    _flag_negative_real(args[0], ctx)
+    return mp.loggamma(args[0])
+
+
+def _eval_genhyper(params: list, args: list, ctx: EvalContext):
     p, q = int(mp.re(params[0])), int(mp.re(params[1]))
     a_s = args[:p]
     b_s = args[p:p + q]
@@ -328,6 +275,67 @@ def _eval_genhyper(params: list, args: list):
     if (p, q) not in ((0, 0), (0, 1), (1, 1), (2, 1)) and not terminating:
         raise NumericallyUnsupported(f"genhyper({p},{q})")
     return mp.hyper(a_s, b_s, z)
+
+
+def _of_arg(f):
+    return lambda params, args, ctx: f(args[0])
+
+
+def _of_param_and_arg(f):
+    return lambda params, args, ctx: f(params[0], args[0])
+
+
+def _of_two_args(f):
+    return lambda params, args, ctx: f(args[0], args[1])
+
+
+# Function id -> evaluator of the evaluated (params, args, context).  The
+# keys are the function ids the kernel can evaluate.
+_EVALUATORS = {
+    "sin": _of_arg(mp.sin), "cos": _of_arg(mp.cos), "tan": _of_arg(mp.tan),
+    "sec": _of_arg(mp.sec), "csc": _of_arg(mp.csc), "cot": _of_arg(mp.cot),
+    "sinh": _of_arg(mp.sinh), "cosh": _of_arg(mp.cosh), "tanh": _of_arg(mp.tanh),
+    "sech": _of_arg(mp.sech), "csch": _of_arg(mp.csch), "coth": _of_arg(mp.coth),
+    "arcsin": _of_arg(mp.asin), "arccos": _of_arg(mp.acos), "arctan": _of_arg(mp.atan),
+    "ln": _ln, "gamma": _of_arg(mp.gamma), "log_gamma": _log_gamma,
+    "erf": _of_arg(mp.erf), "erfc": _of_arg(mp.erfc),
+    "bessel_j": _of_param_and_arg(mp.besselj), "bessel_y": _of_param_and_arg(mp.bessely),
+    "bessel_i": _of_param_and_arg(mp.besseli), "bessel_k": _of_param_and_arg(mp.besselk),
+    "genhyper": _eval_genhyper,
+    # Params (alpha, beta, n) and (n, alpha); mpmath takes the degree first.
+    "jacobi_poly": lambda params, args, ctx: mp.jacobi(params[2], params[0], params[1],
+                                                       args[0]),
+    "laguerre_poly": lambda params, args, ctx: mp.laguerre(params[0], params[1], args[0]),
+    "hermite_poly": _of_param_and_arg(mp.hermite),
+    "cheby_t": _of_param_and_arg(mp.chebyt), "cheby_u": _of_param_and_arg(mp.chebyu),
+    "legendre_poly": _of_param_and_arg(mp.legendre),
+    "elliptic_k": _of_arg(mp.ellipk), "elliptic_e": _of_arg(mp.ellipe),
+    "binomial": _of_two_args(mp.binomial), "pochhammer": _of_two_args(mp.rf),
+}
+
+NUMERIC_FUNCTIONS = frozenset(_EVALUATORS)
+
+
+def _dispatch(func: str, params: list, args: list, ctx: EvalContext):
+    try:
+        evaluate = _EVALUATORS[func]
+    except KeyError:
+        raise NumericallyUnsupported(func) from None
+    return evaluate(params, args, ctx)
+
+
+_INFINITY = Const(ir.INFINITY)
+_MINUS_INFINITY = Neg(_INFINITY)
+
+
+def _integral_bound(bound: Expr, assign: dict, ctx: EvalContext):
+    """An integral's bound; ``\\infty`` and ``-\\infty`` become ``mp.inf``
+    and ``-mp.inf``, which ``mp.quad`` accepts."""
+    if bound == _INFINITY:
+        return mp.inf
+    if bound == _MINUS_INFINITY:
+        return -mp.inf
+    return _eval(bound, assign, ctx)
 
 
 def _eval_bigop(expr: BigOp, assign: dict, ctx: EvalContext):
@@ -346,9 +354,9 @@ def _eval_bigop(expr: BigOp, assign: dict, ctx: EvalContext):
             acc = acc + term if expr.kind == ir.OP_SUM else acc * term
         return _check_finite(acc)
     if expr.kind == ir.OP_INT:
-        lo = _eval(expr.lo, assign, ctx)
-        hi = _eval(expr.hi, assign, ctx)
-        if not (_is_real(lo) and _is_real(hi) and mp.isfinite(lo) and mp.isfinite(hi)):
+        lo = _integral_bound(expr.lo, assign, ctx)
+        hi = _integral_bound(expr.hi, assign, ctx)
+        if not (_is_real(lo) and _is_real(hi)):
             raise NumericallyUnsupported("integral over a non-finite real interval")
         inner = dict(assign)
 
@@ -358,7 +366,13 @@ def _eval_bigop(expr: BigOp, assign: dict, ctx: EvalContext):
             return _eval(expr.body, inner, ctx)
 
         # mp.quad returns its best estimate rather than raise NoConvergence.
-        return _check_finite(mp.quad(integrand, [mp.re(lo), mp.re(hi)]))
+        value, error = mp.quad(integrand, [mp.re(lo), mp.re(hi)], error=True)
+        # Over an infinite interval a divergent integral still gets a finite
+        # estimate, which only the error estimate gives away.  That estimate
+        # is absolute and at most 1, so it is not scaled by the value.
+        if (mp.isinf(lo) or mp.isinf(hi)) and error > mp.sqrt(mp.eps):
+            raise ConvergenceFailure("integral over an infinite interval does not converge")
+        return _check_finite(value)
     raise NumericallyUnsupported(f"big operator {expr.kind}")
 
 

@@ -105,13 +105,15 @@ def variable_name(token: Token) -> Optional[str]:
 
 def join_token_texts(texts: Iterable[str]) -> str:
     """Token texts back to one string, spaced only where a control word
-    would otherwise swallow the letters after it."""
+    would otherwise swallow the letters after it.  A text may hold more
+    than one token (a substituted ``2\\pi``): what counts is how it ends."""
     parts: list[str] = []
     prev = ""
     for text in texts:
-        if len(prev) > 1 and prev[0] == "\\" and prev[1] in _LETTERS \
-                and text and text[0] in _LETTERS:
-            parts.append(" ")
+        if text and text[0] in _LETTERS and prev[-1:] in _LETTERS:
+            stem = prev.rstrip(string.ascii_letters)
+            if stem[-1:] == "\\":
+                parts.append(" ")
         parts.append(text)
         prev = text
     return "".join(parts)

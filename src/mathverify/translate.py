@@ -48,19 +48,9 @@ _CONST_MEANINGS = {
     "const:euler_gamma": ir.EULER_GAMMA,
 }
 
-# Every function id the IR may carry, whether or not it has numeric support.
-KNOWN_IR_FUNCTIONS = frozenset({
-    "sin", "cos", "tan", "sec", "csc", "cot",
-    "sinh", "cosh", "tanh", "sech", "csch", "coth",
-    "arcsin", "arccos", "arctan", "ln",
-    "gamma", "log_gamma", "erf", "erfc",
-    "bessel_j", "bessel_y", "bessel_i", "bessel_k",
-    "genhyper", "qgenhyper",
-    "jacobi_poly", "laguerre_poly", "hermite_poly",
-    "cheby_t", "cheby_u", "legendre_poly",
-    "elliptic_k", "elliptic_e",
-    "binomial", "pochhammer",
-})
+# Every function id the IR may carry: the ones the numeric kernel
+# evaluates, and the basic q-hypergeometric, which only parses.
+KNOWN_IR_FUNCTIONS = NUMERIC_FUNCTIONS | {"qgenhyper"}
 
 # (param count, arg count) per function id, used to split flattened
 # argument lists when reading the generic infix dialect back in.
@@ -226,25 +216,13 @@ class _Translator:
     def _multiplicative(self, items: Sequence[ParseNode]) -> Expr:
         result: Optional[Expr] = None
         divide_next = False
-        negate = False
-        i = 0
-        while i < len(items):
-            node = items[i]
+        for node in items:
             if self._is_op(node, "*", "\\cdot", "\\times", "\\ast"):
-                i += 1
                 continue
             if self._is_op(node, "/", "\\div"):
                 if divide_next:
                     raise UnsupportedGrammar("repeated division operator")
                 divide_next = True
-                i += 1
-                continue
-            if self._is_op(node, "-") and result is None:
-                negate = not negate
-                i += 1
-                continue
-            if self._is_op(node, "+") and result is None:
-                i += 1
                 continue
             factor = self.node(node)
             if result is None:
@@ -254,10 +232,9 @@ class _Translator:
                 divide_next = False
             else:
                 result = ir.mul(result, factor)
-            i += 1
         if result is None or divide_next:
             raise UnsupportedGrammar("dangling operator")
-        return ir.neg_term(result) if negate else result
+        return result
 
     # --- structured nodes ---
 

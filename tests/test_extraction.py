@@ -38,6 +38,14 @@ def test_single_equation_with_constraint():
     assert records[0].constraints == ("x>0",)
 
 
+def test_substitution_ending_in_a_control_word_is_spaced_from_a_letter():
+    # The replacement starts with a digit but ends in \pi, which would
+    # otherwise swallow the y after it.
+    source = ChapterSource.from_text("EF", "\\begin{equation}a y = 1\\end{equation}")
+    records = scan_first(source, load_substitutions("EF a 2\\pi"))
+    assert [r.latex for r in records] == ["2\\pi y=1"]
+
+
 def test_scan_first_counts(scans):
     _, first, second = scans
     assert len(first) == 19

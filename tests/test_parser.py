@@ -255,3 +255,7 @@ def test_join_token_texts_spaces_only_after_control_words():
     assert join_token_texts([r"\,", "x"]) == r"\,x"
     assert join_token_texts(["x", "y", "", r"\beta"]) == r"xy\beta"
     assert join_token_texts([]) == ""
+    # A text of several tokens is spaced by how it ends.
+    assert join_token_texts([r"2\pi", "y"]) == r"2\pi y"
+    assert join_token_texts([r"\pi2", "y"]) == r"\pi2y"
+    assert join_token_texts([r"x\,", "y"]) == r"x\,y"

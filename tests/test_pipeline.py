@@ -199,6 +199,36 @@ def test_zero_to_a_complex_power_is_evaluated(tables, run_symbolic):
     assert out.numeric.skipped == [{}]
 
 
+@pytest.mark.parametrize("latex", [
+    r"\Int{0}{\infty}@{t}{\expe^{-t}} = 1",
+    r"\Int{-\infty}{0}@{t}{\expe^{t}} = 1",
+])
+def test_integral_with_an_infinite_bound_is_evaluated(tables, latex):
+    options = PipelineOptions(run_symbolic=False)
+    out = verify_record(FormulaRecord("EF.904", "EF", latex), tables, options)
+    assert out.numeric.classification == "verified"
+
+
+@pytest.mark.parametrize("latex", [
+    r"\Int{1}{\infty}@{t}{\frac{1}{t}} = 1",
+    r"\Int{0}{\infty}@{t}{\sin@{t}} = 1",
+])
+def test_divergent_integral_with_an_infinite_bound_gets_no_value(tables, latex):
+    # mp.quad gives these a finite estimate (about 55.98 for the first);
+    # its error estimate shows that the integral does not converge.
+    options = PipelineOptions(run_symbolic=False)
+    out = verify_record(FormulaRecord("EF.906", "EF", latex), tables, options)
+    assert (out.numeric.classification, out.numeric.detail) == \
+        ("evaluation_error", "convergence_failure")
+
+
+def test_sum_with_an_infinite_bound_is_not_evaluated(tables):
+    options = PipelineOptions(run_symbolic=False)
+    out = verify_record(FormulaRecord("EF.905", "EF", r"\Sum{k}{0}{\infty}@{2^{-k}} = 2"),
+                        tables, options)
+    assert out.numeric.classification == "evaluation_error"
+
+
 def test_chapter_filter():
     report = run_pipeline(MINI, chapter="GA")
     assert [c.chapter_code for c in report.chapters] == ["GA"]

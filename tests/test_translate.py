@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from mathverify.errors import (
     NoDialectMapping,
     TranslationError,
     UnknownMacro,
+    UnsupportedGrammar,
 )
+from mathverify.extraction import FormulaRecord
 from mathverify.ir import (
     BigOp,
     Const,
@@ -26,11 +29,14 @@ from mathverify.ir import (
     Var,
     free_variables,
 )
+from mathverify.numeric import NUMERIC_FUNCTIONS
 from mathverify.parser import parse, tokenize
+from mathverify.pipeline import PipelineOptions, Tables, data_text, verify_record
 from mathverify.translate import (
     KNOWN_IR_FUNCTIONS,
     TranslationEntry,
     TranslationTable,
+    load_translation_table,
     to_relation,
 )
 
@@ -94,6 +100,21 @@ def test_repeated_subscript_decorates_further(tables):
 def test_implicit_multiplication(tables):
     rel = tr("2xy = x", tables)
     assert rel.lhs == ir.mul(ir.num(2), Var("x"), Var("y"))
+
+
+def test_explicit_product_operators(tables):
+    rel = tr(r"a \cdot b = a \times b", tables)
+    assert rel.lhs == rel.rhs == ir.mul(Var("a"), Var("b"))
+
+
+@pytest.mark.parametrize("latex, message", [
+    ("a//b = 1", "repeated division operator"),
+    ("a/ = 1", "dangling operator"),
+])
+def test_misplaced_division_is_unsupported_grammar(tables, latex, message):
+    with pytest.raises(UnsupportedGrammar, match=message) as info:
+        tr(latex, tables)
+    assert info.value.failure_kind == "unsupported_grammar"
 
 
 def test_subscripted_variable_is_decorated_name(tables):
@@ -207,6 +228,54 @@ def test_emit_sum_maple(tables):
     rel = tr(r"\Sum{k}{0}{n}@{k^2} = n", tables)
     assert emit_cas(rel.lhs, DIALECT_MAPLE, tables.translation_table) == \
         "sum(k^2, k=0..n)"
+
+
+def _bundled_table_text(maple_names):
+    """The bundled translation table with the Maple column of the given
+    meaning ids replaced."""
+    lines = []
+    for line in data_text("translation.table").splitlines():
+        parts = line.split()
+        if parts and parts[0] in maple_names:
+            line = " ".join([*parts[:2], maple_names[parts[0]], *parts[3:]])
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def test_table_without_a_jacobi_spelling_gives_no_maple_text(tmp_path):
+    path = tmp_path / "translation.table"
+    path.write_text(_bundled_table_text({"fn:jacobi": "-"}), encoding="utf-8")
+    options = PipelineOptions(translation_table=str(path), run_symbolic=False,
+                              run_numeric=False)
+    record = FormulaRecord("OP.1", "OP", r"\JacobiP{\alpha}{\beta}{n}@{x} = 1")
+    out = json.loads(verify_record(record, Tables(options), options).to_json())
+    assert out["translated"] and out["maple"] is None
+
+
+def test_table_spellings_are_emitted_verbatim(tables):
+    table = load_translation_table(_bundled_table_text(
+        {"fn:genhyper": "pFq", "fn:elliptic_kk": "K", "fn:jacobi": "P"}))
+    cases = [
+        (r"\genhyperF{2}{1}@@{a,b}{c}{z} = 1", "pFq([a, b], [c], z) = 1"),
+        (r"\CompEllIntKk@@{k} = 1", "K(k) = 1"),
+        (r"\JacobiP{\alpha}{\beta}{n}@{x} = 1", "P(n, alpha, beta, x) = 1"),
+    ]
+    for latex, maple in cases:
+        assert emit_relation(tr(latex, tables), DIALECT_MAPLE, table) == maple
+
+
+def test_maple_emission_without_a_table():
+    with pytest.raises(NoDialectMapping, match="sin"):
+        emit_cas(FunctionApp("sin", (), (Var("x"),)), DIALECT_MAPLE)
+    expr = ir.add(Pow(Var("x"), ir.num(2)), Const(ir.PI))
+    assert emit_cas(expr, DIALECT_MAPLE) == "x^2 + Pi"
+
+
+def test_bundled_numeric_flags_are_the_kernels_functions(tables):
+    entries = list(tables.translation_table)
+    assert {e.ir_id for e in entries if e.numeric_support} == NUMERIC_FUNCTIONS
+    for func in NUMERIC_FUNCTIONS:
+        assert tables.translation_table.by_ir_id(func).maple_name is not None, func
 
 
 # --- generic infix round trip ---

@@ -7,9 +7,12 @@ test values), set-notation reading (``n=0,1,2,\\dots`` and ``a,b\\in A``
 shapes, yielding variable domains), and compound-inequality splitting
 (yielding interval domains).  Constraints that none of the interpreters
 understand are reported as blueprint gaps instead of aborting the
-verification.  What a token is (a relation and its kind, a variable, a
-placeholder) and how tokens join back into text are the parser's lexicon
-decisions; this module reads them from `parser`.
+verification.  `sign` is the only place where the interpreted domains
+decide whether an expression is real, nonnegative or positive: the
+rewrite rules' conditions and the normal form's power split both ask it.
+What a token is (a relation and its kind, a variable, a placeholder) and
+how tokens join back into text are the parser's lexicon decisions; this
+module reads them from `parser`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import ir
 from .errors import (
     ConstraintError,
     InconsistentProgression,
@@ -26,6 +30,7 @@ from .errors import (
     PlaceholderValueCountMismatch,
     UnknownSetSymbol,
 )
+from .ir import Add, Const, Expr, FunctionApp, Mul, Neg, Number, Pow, Var
 from .parser import (
     RELATION_SPELLINGS,
     MacroTable,
@@ -476,6 +481,73 @@ def check_domain(domains: Sequence[VariableDomain], assignment: dict) -> bool:
             if d.var == name and not _accepts(d, value):
                 return False
     return True
+
+
+# --- sign analysis ---
+
+# What the domains prove about an expression, weakest first; each
+# constant implies the ones before it.
+SIGN_UNKNOWN, SIGN_REAL, SIGN_NONNEG, SIGN_POSITIVE = range(4)
+
+_POSITIVE_CONSTANTS = frozenset({ir.EULER_E, ir.PI, ir.EULER_GAMMA})
+# Functions that are real at real arguments.
+_REAL_ON_REALS = frozenset({"sin", "cos", "sinh", "cosh", "tanh", "erf", "arctan"})
+
+
+def _domain_sign(domain: VariableDomain) -> int:
+    """What one domain proves about its variable, from its least value
+    where it has one."""
+    least, strict = None, False
+    if domain.interval is not None:
+        least, strict = domain.interval[:2]
+    elif domain.progression is not None and domain.progression[1] > 0:
+        least = domain.progression[0]
+    elif domain.finite_set is not None:
+        least = min(domain.finite_set, default=None)
+    if least is not None and least >= 0:
+        return SIGN_POSITIVE if least > 0 or strict else SIGN_NONNEG
+    return SIGN_UNKNOWN if domain.base_set == BASE_COMPLEX else SIGN_REAL
+
+
+def sign(expr: Expr, domains: Sequence[VariableDomain]) -> int:
+    """The strongest ``SIGN_*`` fact the domains prove about ``expr`` on
+    principal branches.  A variable gets the strongest fact of any domain
+    naming it.  A power b^e is nonnegative or positive only when e is
+    provably real (or an integer), so 5^i counts for nothing."""
+    if isinstance(expr, Number):
+        value = expr.value
+        return SIGN_POSITIVE if value > 0 else SIGN_NONNEG if value == 0 else SIGN_REAL
+    if isinstance(expr, Const):
+        if expr.name in _POSITIVE_CONSTANTS:
+            return SIGN_POSITIVE
+        return SIGN_NONNEG if expr.name == ir.INFINITY else SIGN_UNKNOWN
+    if isinstance(expr, Var):
+        return max((_domain_sign(d) for d in domains if d.var == expr.name),
+                   default=SIGN_UNKNOWN)
+    if isinstance(expr, Neg):
+        return min(sign(expr.operand, domains), SIGN_REAL)
+    if isinstance(expr, Mul):
+        return min(sign(f, domains) for f in expr.factors)
+    if isinstance(expr, Add):
+        signs = [sign(t, domains) for t in expr.terms]
+        lowest = min(signs)
+        # A sum of nonnegative terms is positive when one term is.
+        return max(signs) if lowest == SIGN_NONNEG else lowest
+    if isinstance(expr, Pow):
+        base = sign(expr.base, domains)
+        exponent = expr.exponent
+        if isinstance(exponent, Number) and exponent.value.denominator == 1:
+            if base == SIGN_REAL and exponent.value % 2 == 0:
+                return SIGN_NONNEG
+            return base
+        if base >= SIGN_NONNEG and sign(exponent, domains) >= SIGN_REAL:
+            return base
+        return SIGN_UNKNOWN
+    if isinstance(expr, FunctionApp) and expr.func in _REAL_ON_REALS \
+            and not expr.params \
+            and all(sign(a, domains) >= SIGN_REAL for a in expr.args):
+        return SIGN_REAL
+    return SIGN_UNKNOWN
 
 
 # --- pipeline driver ---

@@ -21,22 +21,24 @@ which every product passes through).  The two kinds hash and compare
 equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
 
-A `NormContext` counts steps against a budget.  Given a `NormMemo`, the
-contexts of one formula's candidates share the normal forms of the
-subtrees they have in common, and each reuse is charged the steps that
-normalizing it afresh in that context would count: its own ticks, plus
-those of the `canon` keys it needs that the context has not yet paid
-for.  So ``steps``, and where a budget runs out, are the same with or
-without the memo.
+A `NormContext` counts steps against a budget and carries the variable
+domains under which a power of a product splits (`_norm_pow`).  Given a
+`NormMemo`, the contexts of one formula's candidates, which carry the
+same domains, share the normal forms of the subtrees they have in
+common, and each reuse is charged the steps that normalizing it afresh
+in that context would count: its own ticks, plus those of the `canon`
+keys it needs that the context has not yet paid for.  So ``steps``, and
+where a budget runs out, are the same with or without the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import ir
+from .constraints import SIGN_NONNEG, VariableDomain, sign
 from .errors import BudgetExceeded, SymbolicError
 from .ir import (
     Add,
@@ -116,16 +118,19 @@ class NormContext:
     `NormMemo`, `_norm` and `canon` results computed by earlier contexts
     are reused too, and each reuse is charged what a fresh computation
     would count here (`charge`), so ``steps`` and the point where the
-    budget runs out do not depend on what the memo held.  A context that
-    raised is not used again."""
+    budget runs out do not depend on what the memo held.  The memo is
+    keyed by node alone, so every context sharing one must carry the same
+    ``domains``.  A context that raised is not used again."""
 
-    __slots__ = ("budget", "steps", "memo", "_canon_memo", "_canon_ticks",
-                 "_touched")
+    __slots__ = ("budget", "steps", "memo", "domains", "_canon_memo",
+                 "_canon_ticks", "_touched")
 
-    def __init__(self, budget: int = 200_000, memo: Optional[NormMemo] = None):
+    def __init__(self, budget: int = 200_000, memo: Optional[NormMemo] = None,
+                 domains: Sequence[VariableDomain] = ()):
         self.budget = budget
         self.steps = 0
         self.memo = memo
+        self.domains = domains
         # canon key -> canonical IR, for every key this context charged
         self._canon_memo: dict[Expr, Expr] = {}
         # The own ticks of those keys, summed.
@@ -528,19 +533,21 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
     if base_rat.den == ONE_POLY and len(base_rat.num) == 1:
         (m, coef), = base_rat.num.items()
         if coef > 0:
-            # (c * x * y)^s = c^s x^s y^s is branch-safe for positive
-            # rational c and splits each unit-exponent atom.
+            # (c P R)^s = c^s P^s R^s holds for rational c > 0 and P >= 0:
+            # each atom power that `sign` proves nonnegative splits off,
+            # and the rest R stays one atom.
             out = _rat_const(1)
             if coef != 1:
                 out = _rat_mul(out, _norm_pow(Pow(Number(coef), exp_expr), ctx), ctx)
+            rest = []
             for atom, aexp in m:
-                if isinstance(aexp, _RAT) and aexp == 1:
-                    out = _rat_mul(out, _atom_rat(atom, exp_key), ctx)
+                factor = _pow_expr(atom, aexp)
+                if sign(factor, ctx.domains) >= SIGN_NONNEG:
+                    out = _rat_mul(out, _atom_rat(factor, exp_key), ctx)
                 else:
-                    # Nested non-unit power stays whole (branch safety).
-                    out = _rat_mul(
-                        out, _atom_rat(_pow_expr(atom, aexp), exp_key), ctx
-                    )
+                    rest.append(factor)
+            if rest:
+                out = _rat_mul(out, _atom_rat(ir.mul(*rest), exp_key), ctx)
             return out
     return _atom_rat(base_expr, exp_key)
 

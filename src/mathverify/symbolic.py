@@ -3,9 +3,11 @@
 The simplifier layers bounded identity rewriting (a data-driven rule
 table with validity conditions checked against the constraint-derived
 assumptions), Bessel order-lattice reduction, and the rational normal
-form of :mod:`normform`.  Pre-processing conversions - exponential form,
-hypergeometric form, expansion, and their combinations - are tried in
-configured order; the first conversion under which the difference
+form of :mod:`normform`.  The conditions ask `constraints.sign`, and so
+does the normal form's power split: it is the only place where the
+domains decide positivity.  Pre-processing conversions - exponential
+form, hypergeometric form, expansion, and their combinations - are tried
+in configured order; the first conversion under which the difference
 normalizes to zero (or the quotient to one) wins and is recorded.
 """
 
@@ -19,7 +21,13 @@ from typing import Callable, Optional, Sequence
 
 from . import ir
 from .calculus import resolve_derivatives
-from .constraints import BASE_COMPLEX, VariableDomain
+from .constraints import (
+    SIGN_NONNEG,
+    SIGN_POSITIVE,
+    SIGN_REAL,
+    VariableDomain,
+    sign,
+)
 from .errors import (
     BudgetExceeded,
     MalformedRule,
@@ -163,118 +171,26 @@ def _parse_condition(clause: str, lineno: int) -> tuple[str, str, Optional[Fract
     raise MalformedRule(f"line {lineno}: bad condition {clause!r}")
 
 
-# --- assumption-aware sign analysis ---
+# --- rule conditions ---
 
-def _domains_for(name: str, domains: Sequence[VariableDomain]) -> list[VariableDomain]:
-    return [d for d in domains if d.var == name]
-
-
-def is_real_expr(expr: Expr, domains: Sequence[VariableDomain]) -> bool:
-    if isinstance(expr, Number):
-        return True
-    if isinstance(expr, Const):
-        return expr.name != ir.IMAGINARY_UNIT
-    if isinstance(expr, Var):
-        named = _domains_for(expr.name, domains)
-        return bool(named) and all(d.base_set != BASE_COMPLEX for d in named)
-    if isinstance(expr, (Add, Mul)):
-        return all(is_real_expr(c, domains) for c in ir.children(expr))
-    if isinstance(expr, Neg):
-        return is_real_expr(expr.operand, domains)
-    if isinstance(expr, Pow):
-        if not is_real_expr(expr.base, domains):
-            return False
-        if isinstance(expr.exponent, Number) and expr.exponent.value.denominator == 1:
-            return True
-        return is_nonneg_expr(expr.base, domains) and is_real_expr(expr.exponent, domains)
-    if isinstance(expr, FunctionApp):
-        real_on_reals = {"sin", "cos", "sinh", "cosh", "tanh", "erf", "arctan"}
-        if expr.func in real_on_reals and not expr.params:
-            return all(is_real_expr(a, domains) for a in expr.args)
-        return False
-    return False
-
-
-def is_nonneg_expr(expr: Expr, domains: Sequence[VariableDomain]) -> bool:
-    if isinstance(expr, Number):
-        return expr.value >= 0
-    if isinstance(expr, Const):
-        return expr.name in (ir.EULER_E, ir.PI, ir.EULER_GAMMA, ir.INFINITY)
-    if isinstance(expr, Var):
-        named = _domains_for(expr.name, domains)
-        if not named:
-            return False
-        for d in named:
-            if d.interval is not None and d.interval[0] is not None and d.interval[0] >= 0:
-                return True
-            if d.progression is not None and d.progression[0] >= 0 and d.progression[1] > 0:
-                return True
-            if d.finite_set is not None and all(v >= 0 for v in d.finite_set):
-                return True
-        return False
-    if isinstance(expr, Add):
-        return all(is_nonneg_expr(t, domains) for t in expr.terms)
-    if isinstance(expr, Mul):
-        return all(is_nonneg_expr(f, domains) for f in expr.factors)
-    if isinstance(expr, Pow):
-        if isinstance(expr.exponent, Number) and expr.exponent.value.denominator == 1 \
-                and int(expr.exponent.value) % 2 == 0:
-            return is_real_expr(expr.base, domains)
-        if expr.base == Const(ir.EULER_E):
-            return is_real_expr(expr.exponent, domains)
-        return is_nonneg_expr(expr.base, domains)
-    return False
-
-
-def is_positive_expr(expr: Expr, domains: Sequence[VariableDomain]) -> bool:
-    if isinstance(expr, Number):
-        return expr.value > 0
-    if isinstance(expr, Const):
-        return expr.name in (ir.EULER_E, ir.PI, ir.EULER_GAMMA)
-    if isinstance(expr, Var):
-        for d in _domains_for(expr.name, domains):
-            if d.interval is not None and d.interval[0] is not None and \
-                    (d.interval[0] > 0 or (d.interval[0] == 0 and d.interval[1])):
-                return True
-            if d.progression is not None and d.progression[0] > 0 and d.progression[1] > 0:
-                return True
-            if d.finite_set is not None and d.finite_set and \
-                    all(v > 0 for v in d.finite_set):
-                return True
-        return False
-    if isinstance(expr, Mul):
-        return all(is_positive_expr(f, domains) for f in expr.factors)
-    if isinstance(expr, Add):
-        terms_ok = all(is_nonneg_expr(t, domains) for t in expr.terms)
-        return terms_ok and any(is_positive_expr(t, domains) for t in expr.terms)
-    if isinstance(expr, Pow):
-        if expr.base == Const(ir.EULER_E):
-            return is_real_expr(expr.exponent, domains)
-        return is_positive_expr(expr.base, domains)
-    return False
+# The sign a ``ge``/``gt`` condition needs of ``bound - value``.
+_CONDITION_FLOORS = {"ge": SIGN_NONNEG, "gt": SIGN_POSITIVE}
 
 
 def _condition_holds(
     kind: str, value: Optional[Fraction], bound: Expr,
     domains: Sequence[VariableDomain],
 ) -> bool:
+    """Whether `sign` proves that ``bound`` is real, or that ``bound -
+    value`` is nonnegative (ge), positive (gt) or of either strict sign
+    (ne)."""
     if kind == "real":
-        return is_real_expr(bound, domains)
-    if kind == "ge":
-        if value == 0:
-            return is_nonneg_expr(bound, domains)
-        return is_nonneg_expr(ir.sub(bound, Number(value)), domains)
-    if kind == "gt":
-        if value == 0:
-            return is_positive_expr(bound, domains)
-        return is_positive_expr(ir.sub(bound, Number(value)), domains)
+        return sign(bound, domains) >= SIGN_REAL
+    above = sign(ir.sub(bound, Number(value)), domains)
     if kind == "ne":
-        if isinstance(bound, Number):
-            return bound.value != value
-        return is_positive_expr(bound, domains) or (
-            value == 0 and is_positive_expr(ir.neg_term(bound), domains)
-        )
-    return False
+        return above == SIGN_POSITIVE or \
+            sign(ir.sub(Number(value), bound), domains) == SIGN_POSITIVE
+    return above >= _CONDITION_FLOORS[kind]
 
 
 # --- pattern matching ---
@@ -436,11 +352,13 @@ def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
 # --- expansion and conversion preprocessors ---
 
 def expand(expr: Expr, *, budget: int = 500_000,
-           memo: Optional[NormMemo] = None) -> Expr:
+           memo: Optional[NormMemo] = None,
+           domains: Sequence[VariableDomain] = ()) -> Expr:
     """Distribute products over sums and integer powers of sums; the
-    result is a flattened, collected sum in canonical order.  ``memo``
-    shares normal forms as in `simplify`."""
-    ctx = NormContext(budget=budget, memo=memo)
+    result is a flattened, collected sum in canonical order.  ``domains``
+    decide where a power of a product splits; ``memo`` shares normal
+    forms as in `simplify`, whose assumptions they must then be."""
+    ctx = NormContext(budget=budget, memo=memo, domains=domains)
     return emit(norm_plain(expr, ctx))
 
 
@@ -697,10 +615,11 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
     normalization stopped.
 
     ``memo`` shares normal forms with earlier calls on the candidates of
-    the same formula; ``steps_used`` counts what a fresh normalization
-    would, whatever the memo reused."""
+    the same formula, under the same assumptions; ``steps_used`` counts
+    what a fresh normalization would, whatever the memo reused."""
     config = config or SimplifyConfig()
-    ctx = NormContext(budget=config.rewrite_step_budget, memo=memo)
+    ctx = NormContext(budget=config.rewrite_step_budget, memo=memo,
+                      domains=config.assumptions)
     rule_budget = max(1, config.rewrite_step_budget // 10)
     rule_steps = None  # set once the rule stage has finished
     try:
@@ -760,7 +679,7 @@ def verify_symbolic(
     again: ``simplify`` is deterministic, so the repeat could neither win
     nor be more informative than its first occurrence.  The candidates
     and the expansion of both sides share one `NormMemo`, which ends with
-    the call."""
+    the call, and normalize under the same assumptions."""
     config = config or SimplifyConfig()
     if rel.kind not in (ir.REL_EQ, ir.REL_EQUIV):
         raise NonEquationRelation(
@@ -783,8 +702,8 @@ def verify_symbolic(
     def expanded() -> Optional[tuple[Expr, Expr]]:
         try:
             budget = config.rewrite_step_budget
-            return (expand(rel.lhs, budget=budget, memo=memo),
-                    expand(rel.rhs, budget=budget, memo=memo))
+            return (expand(rel.lhs, budget=budget, memo=memo, domains=assumptions),
+                    expand(rel.rhs, budget=budget, memo=memo, domains=assumptions))
         except (BudgetExceeded, SymbolicError):
             return None
 

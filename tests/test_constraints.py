@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathverify import ir
 from mathverify.constraints import (
+    SIGN_NONNEG,
+    SIGN_POSITIVE,
+    SIGN_REAL,
+    SIGN_UNKNOWN,
     VariableDomain,
     check_domain,
     domain_from_atomic,
@@ -12,6 +17,7 @@ from mathverify.constraints import (
     interpret_set_notation,
     match_constraint,
     parse_blueprint_rules,
+    sign,
     split_compound_inequality,
 )
 from mathverify.errors import (
@@ -21,6 +27,7 @@ from mathverify.errors import (
     PlaceholderValueCountMismatch,
     UnknownSetSymbol,
 )
+from mathverify.ir import Const, FunctionApp, Var
 from mathverify.parser import MacroTable, parse, tokenize
 
 EMPTY = MacroTable(())
@@ -411,3 +418,103 @@ def test_interpret_constraints_clean_progression(tables):
         [r"2\nu=-1,-2,-3,\ldots"], tables.blueprints, tables.macro_table)
     assert interp.unmatched == []
     assert interp.domains[0].progression == (Fraction(-1, 2), Fraction(-1, 2), None)
+
+
+# --- sign analysis ---
+
+X, Y = Var("x"), Var("y")
+
+
+def _domains(*constraints):
+    interp = interpret_constraints(list(constraints), [], EMPTY)
+    assert not interp.unmatched
+    return interp.domains
+
+
+def test_sign_constants_are_ordered():
+    assert SIGN_UNKNOWN < SIGN_REAL < SIGN_NONNEG < SIGN_POSITIVE
+
+
+@pytest.mark.parametrize("constraints, expected", [
+    ((), SIGN_UNKNOWN),
+    ((r"x \in \Complex",), SIGN_UNKNOWN),
+    ((r"x \ne 1",), SIGN_UNKNOWN),
+    ((r"x \in \Real",), SIGN_REAL),
+    (("x < 3",), SIGN_REAL),
+    ((r"x \ge 0",), SIGN_NONNEG),
+    (("x > 0",), SIGN_POSITIVE),
+    (("x > -1",), SIGN_REAL),
+    ((r"x \ge 1/2",), SIGN_POSITIVE),
+    ((r"x = 0, 1, 2, \dots",), SIGN_NONNEG),
+    ((r"x = 1, 3, \dots",), SIGN_POSITIVE),
+    ((r"x = -1, -2, \dots",), SIGN_REAL),
+    ((r"x = 0, 1",), SIGN_NONNEG),
+    ((r"x = 1, 2, 3",), SIGN_POSITIVE),
+    ((r"x \in \NatNumber",), SIGN_NONNEG),
+    # The strongest fact of any domain naming x, whatever the others say.
+    (("x > 0", r"x \ne 1"), SIGN_POSITIVE),
+    ((r"x \ne 1", r"x \in \Real"), SIGN_REAL),
+    (("y > 0",), SIGN_UNKNOWN),
+])
+def test_sign_of_a_variable_is_its_strongest_domain(constraints, expected):
+    assert sign(X, _domains(*constraints)) == expected
+
+
+def test_sign_of_numbers_and_constants():
+    assert sign(ir.num(3), ()) == SIGN_POSITIVE
+    assert sign(ir.ZERO, ()) == SIGN_NONNEG
+    assert sign(ir.num(-2), ()) == SIGN_REAL
+    for name in (ir.EULER_E, ir.PI, ir.EULER_GAMMA):
+        assert sign(Const(name), ()) == SIGN_POSITIVE
+    assert sign(Const(ir.INFINITY), ()) == SIGN_NONNEG
+    assert sign(Const(ir.IMAGINARY_UNIT), ()) == SIGN_UNKNOWN
+
+
+def test_sign_of_sums_products_and_negations():
+    pos, nonneg = _domains("x > 0", r"y \ge 0")
+    domains = (pos, nonneg)
+    assert sign(ir.add(X, Y), domains) == SIGN_POSITIVE
+    assert sign(ir.add(Y, Y), domains) == SIGN_NONNEG
+    assert sign(ir.add(X, ir.num(-1)), domains) == SIGN_REAL
+    assert sign(ir.mul(X, Y), domains) == SIGN_NONNEG
+    assert sign(ir.mul(ir.num(-2), X), domains) == SIGN_REAL
+    assert sign(ir.neg(X), domains) == SIGN_REAL
+    assert sign(ir.add(X, Const(ir.IMAGINARY_UNIT)), domains) == SIGN_UNKNOWN
+
+
+@pytest.mark.parametrize("base, exponent, constraints, expected", [
+    # An integer exponent keeps the base's sign; an even one makes a real
+    # base nonnegative.
+    (X, ir.num(2), (r"x \in \Real",), SIGN_NONNEG),
+    (X, ir.num(-2), ("x < 0",), SIGN_NONNEG),
+    (X, ir.num(3), (r"x \in \Real",), SIGN_REAL),
+    (X, ir.num(-1), ("x > 0",), SIGN_POSITIVE),
+    (X, ir.num(2), (), SIGN_UNKNOWN),
+    # Any other exponent must be real, and the base nonnegative.
+    (X, ir.HALF, (r"x \ge 0",), SIGN_NONNEG),
+    (X, ir.HALF, ("x > 0",), SIGN_POSITIVE),
+    (X, ir.HALF, (r"x \in \Real",), SIGN_UNKNOWN),
+    (X, Y, ("x > 0", r"y \in \Real"), SIGN_POSITIVE),
+    (X, Y, ("x > 0",), SIGN_UNKNOWN),
+    (Const(ir.EULER_E), Y, (r"y \in \Real",), SIGN_POSITIVE),
+    (Const(ir.EULER_E), Y, (), SIGN_UNKNOWN),
+    # 5^i lies on the unit circle: a positive base proves nothing.
+    (ir.num(5), Const(ir.IMAGINARY_UNIT), (), SIGN_UNKNOWN),
+    (ir.num(5), ir.mul(ir.num(2), Const(ir.IMAGINARY_UNIT)), (), SIGN_UNKNOWN),
+])
+def test_sign_of_a_power_needs_a_real_exponent(base, exponent, constraints, expected):
+    assert sign(ir.Pow(base, exponent), _domains(*constraints)) == expected
+
+
+def test_sign_of_a_power_of_a_non_real_power_is_unknown():
+    # sqrt((5^i)^2) is not 5^i: (5^i)^2 is not known to be nonnegative.
+    square = ir.Pow(ir.Pow(ir.num(5), Const(ir.IMAGINARY_UNIT)), ir.num(2))
+    assert sign(square, ()) == SIGN_UNKNOWN
+
+
+def test_sign_of_functions_real_on_reals():
+    real = _domains(r"x \in \Real")
+    assert sign(FunctionApp("sin", (), (X,)), real) == SIGN_REAL
+    assert sign(FunctionApp("sin", (), (X,)), ()) == SIGN_UNKNOWN
+    assert sign(FunctionApp("ln", (), (X,)), real) == SIGN_UNKNOWN
+    assert sign(FunctionApp("bessel_j", (ir.ONE,), (X,)), real) == SIGN_UNKNOWN

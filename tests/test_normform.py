@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathverify import ir
+from mathverify.constraints import VariableDomain
 from mathverify.errors import SymbolicError
 from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
@@ -241,14 +242,41 @@ def _canon_then_norm(t, u, ctx):
     return out
 
 
+_POSITIVE_X = (VariableDomain("x", interval=(Fraction(0), True, None, False)),)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_trees, min_size=1, max_size=4), st.integers(1, 1500))
-def test_memo_keeps_results_and_steps(trees, budget):
+@given(st.lists(_trees, min_size=1, max_size=4), st.integers(1, 1500),
+       st.sampled_from(((), _POSITIVE_X)))
+def test_memo_keeps_results_and_steps(trees, budget, domains):
     # Each context reuses the trees of earlier ones and repeats its own,
     # so memo entries are hit within one context and across contexts,
-    # with and without their canon keys already charged.
+    # with and without their canon keys already charged.  All contexts
+    # carry the same domains, as those of one formula do.
     memo = NormMemo()
     for i, t in enumerate(trees):
         u = ir.add(ir.mul(t, trees[i - 1]), trees[i - 1], FunctionApp("sin", (), (t,)))
-        assert _canon_then_norm(t, u, NormContext(budget, memo=memo)) == \
-            _canon_then_norm(t, u, NormContext(budget))
+        assert _canon_then_norm(t, u, NormContext(budget, memo=memo, domains=domains)) == \
+            _canon_then_norm(t, u, NormContext(budget, domains=domains))
+
+
+# --- powers of products ---
+
+def test_power_of_a_product_splits_only_nonnegative_factors():
+    # (x y)^s = x^s y^s needs x >= 0 or y >= 0; the unproven rest of a
+    # product stays one atom.
+    x_root, y_root = ir.power(_X, ir.HALF), ir.power(_Y, ir.HALF)
+    root = ir.power(ir.mul(ir.num(4), _X, _Y), ir.HALF)
+    split = ir.mul(ir.num(2), x_root, y_root)
+    positive = NormContext(domains=_POSITIVE_X)
+    assert norm(root, positive) == norm(split, NormContext(domains=_POSITIVE_X))
+    assert norm(root) != norm(split)
+    assert norm(root) == norm(ir.mul(ir.num(2), ir.power(ir.mul(_X, _Y), ir.HALF)))
+    # A positive base to a non-real power is not nonnegative: 5^i splits
+    # off only where the other factor does.
+    five_i = ir.Pow(ir.num(5), Const(ir.IMAGINARY_UNIT))
+    five_i_root = ir.power(five_i, ir.HALF)
+    assert norm(ir.power(ir.mul(five_i, _Y), ir.HALF)) != \
+        norm(ir.mul(five_i_root, y_root))
+    assert norm(ir.power(ir.mul(five_i, _X), ir.HALF), positive) == \
+        norm(ir.mul(five_i_root, x_root), NormContext(domains=_POSITIVE_X))

@@ -200,6 +200,48 @@ def test_zero_to_a_complex_power_is_evaluated(tables, run_symbolic):
 
 
 @pytest.mark.parametrize("latex", [
+    r"\sqrt{x}\sqrt{y} = \sqrt{x y}",
+    r"(x y)^{1/3} = x^{1/3} y^{1/3}",
+    r"\sqrt{(5^{\iunit})^2} = 5^{\iunit}",
+])
+def test_false_identity_is_not_verified_symbolically(tables, latex):
+    # The first two are false at x = y = -1/2, the third everywhere: a
+    # power of a product splits only over factors known to be nonnegative,
+    # and a positive base to a non-real power is not known to be one.
+    out = verify_record(FormulaRecord("EF.907", "EF", latex), tables, PipelineOptions())
+    assert out.symbolic.classification != "zero"
+    assert out.numeric.classification == "above_threshold"
+
+
+def test_power_of_a_product_splits_over_a_positive_factor(tables):
+    out = verify_record(FormulaRecord("EF.908", "EF", r"\sqrt{x}\sqrt{y} = \sqrt{x y}",
+                                      constraints=("x > 0",)),
+                        tables, PipelineOptions())
+    assert out.symbolic.classification == "zero"
+
+
+def test_root_of_a_non_real_power_is_no_source_error(tmp_path):
+    # sqrt((5^i)^2) = -5^i holds; the symbolic stage must not reduce it to
+    # -1, which list_flagged would report as a source error.
+    record = FormulaRecord("EF.909", "EF", r"\sqrt{(5^{\iunit})^{2}} = -5^{\iunit}")
+    path = tmp_path / "root.jsonl"
+    write_corpus([record], path)
+    report = run_pipeline(path)
+    (out,) = report.outcomes
+    assert out.symbolic.classification != "other_numeric"
+    assert out.numeric.classification == "verified"
+    assert list_flagged(report) == []
+
+
+def test_bounded_variable_counts_as_real(tables):
+    # x > 0 makes x real although x \ne 1 gives it a complex-based domain.
+    record = FormulaRecord("EF.910", "EF", r"\ln@{\expe^{x}} = x",
+                           constraints=("x > 0", r"x \ne 1"))
+    out = verify_record(record, tables, PipelineOptions())
+    assert out.symbolic.classification == "zero"
+
+
+@pytest.mark.parametrize("latex", [
     r"\Int{0}{\infty}@{t}{\expe^{-t}} = 1",
     r"\Int{-\infty}{0}@{t}{\expe^{t}} = 1",
 ])

@@ -282,6 +282,63 @@ def test_assumption_gated_rule(tables):
     assert out_free.classification != CLASS_ZERO
 
 
+# Rules whose conditions cover what no bundled rule asks: ge/gt against a
+# nonzero bound, ne, and domains from progressions, finite sets and \infty.
+_CONDITION_RULES = r"""
+\sin@{var1} -> 0 ? var1 >= 2
+\cos@{var1} -> 0 ? var1 > -1
+\tan@{var1} -> 0 ? var1 != 3
+\sinh@{var1} -> 0 ? var1 != 0
+\cosh@{var1} -> 0 ? var1 real
+"""
+
+
+@pytest.mark.parametrize("head, argument, constraints, fires", [
+    # ge/gt: the argument minus the bound is nonnegative/positive.
+    (r"\sin", "3", (), True),
+    (r"\sin", "1", (), False),
+    (r"\sin", "x+2", (r"x \ge 0",), True),
+    (r"\sin", "x+2", (), False),
+    (r"\sin", "n+2", (r"n = 0, 1, 2, \dots",), True),
+    (r"\sin", r"\infty", (), False),
+    (r"\cos", "x", (r"x \ge 0",), True),
+    (r"\cos", "-1", (), False),
+    (r"\cos", "x", (r"x \in \Real",), False),
+    (r"\cos", "n", (r"n = 0, 1, 2, \dots",), True),
+    (r"\cos", "n", (r"n = -1, -2, \dots",), False),
+    # ne against a number: the argument minus it has a known strict sign.
+    (r"\tan", "2", (), True),
+    (r"\tan", "3", (), False),
+    (r"\tan", "x+4", (r"x \ge 0",), True),
+    (r"\tan", "-x", ("x > 0",), True),
+    (r"\tan", "x", ("x > 0",), False),  # x > 0 does not keep x off 3
+    (r"\tan", "n", (r"n = 1, 2, \dots",), False),
+    # ne against zero with a symbolic argument.
+    (r"\sinh", "-x", ("x > 0",), True),
+    (r"\sinh", "x", (r"x \in \Real",), False),
+    (r"\sinh", "n", (r"n = 1, 2, \dots",), True),
+    (r"\sinh", "n", (r"n = 0, 1, 2, \dots",), False),
+    (r"\sinh", "n", ("n = 1, 2, 3",), True),
+    (r"\sinh", "n", ("n = 0, 1",), False),
+    (r"\sinh", r"\infty", (), False),
+    # real.
+    (r"\cosh", "n", (r"n = -1, -2, \dots",), True),
+    (r"\cosh", r"\infty", (), True),
+    (r"\cosh", "x", ("x > 0", r"x \ne 1"), True),
+    (r"\cosh", "x", (r"x \ne 1",), False),
+])
+def test_condition_kinds_as_sign_answers_them(tables, head, argument, constraints, fires):
+    from mathverify.constraints import interpret_constraints
+
+    rules = symbolic.load_rewrite_rules(_CONDITION_RULES, tables.macro_table,
+                                        tables.translation_table)
+    interp = interpret_constraints(constraints, (), tables.macro_table)
+    assert not interp.unmatched
+    expr = tx(f"{head}@{{{argument}}}", tables)
+    _, steps = symbolic.apply_rules(expr, rules, interp.domains)
+    assert steps == (1 if fires else 0)
+
+
 def test_monotone_classification_over_corpus(tables, mini_corpus):
     # Enabling preprocessors never loses a zero classification.
     full = default_config(tables)

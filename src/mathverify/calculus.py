@@ -173,19 +173,28 @@ def differentiate(expr: Expr, var: str) -> Optional[Expr]:
     return None
 
 
-def resolve_derivatives(expr: Expr) -> Expr:
+def resolve_derivatives(expr: Expr, done: Optional[dict[Expr, Expr]] = None) -> Expr:
     """Replace Derivative nodes with explicit derivatives where rules
     exist; unresolved nodes stay in the tree.  A tree with no Derivative
-    node comes back itself."""
+    node comes back itself.  ``done`` maps nodes already resolved to
+    their results, and gains those of this call."""
     if Derivative not in ir.heads(expr):
         return expr
+    if done is None:
+        done = {}
+    hit = done.get(expr)
+    if hit is not None:
+        return hit
     if isinstance(expr, Derivative):
-        operand = resolve_derivatives(expr.operand)
+        operand = resolve_derivatives(expr.operand, done)
         current: Expr = operand
         for _ in range(expr.order):
             d = differentiate(current, expr.var)
             if d is None:
-                return Derivative(operand, expr.var, expr.order)
+                current = Derivative(operand, expr.var, expr.order)
+                break
             current = d
-        return current
-    return ir.map_children(expr, resolve_derivatives)
+    else:
+        current = ir.map_children(expr, lambda child: resolve_derivatives(child, done))
+    done[expr] = current
+    return current

@@ -445,7 +445,10 @@ def domain_from_atomic(atomic: str) -> Optional[VariableDomain]:
 def _accepts(domain: VariableDomain, value) -> bool:
     if isinstance(value, complex):
         if value.imag != 0:
-            return domain.base_set == BASE_COMPLEX and not domain.exclusions
+            # Exclusions and shapes are real: a non-real value never
+            # meets an exclusion and lies in no shape.
+            return domain.base_set == BASE_COMPLEX and domain.interval is None \
+                and domain.progression is None and domain.finite_set is None
         value = Fraction(value.real)
     value = Fraction(value)
     if value in domain.exclusions:

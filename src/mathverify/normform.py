@@ -28,14 +28,16 @@ same domains, share the normal forms of the subtrees they have in
 common, and each reuse is charged the steps that normalizing it afresh
 in that context would count: its own ticks, plus those of the `canon`
 keys it needs that the context has not yet paid for.  So ``steps``, and
-where a budget runs out, are the same with or without the memo.
+where a budget runs out, are the same with or without the memo.  The
+memo also holds what `symbolic.simplify`'s passes before `norm` compute
+per node, so each candidate of the formula runs them once per subtree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from . import ir
 from .constraints import SIGN_NONNEG, VariableDomain, sign
@@ -64,6 +66,8 @@ Poly = dict[Mono, Rat]  # nonzero Rat coefficients
 
 EMPTY_MONO: Mono = ()
 
+T = TypeVar("T")
+
 
 def _q(x: Rat) -> Rat:
     """x as an int when it is integral, else unchanged."""
@@ -85,23 +89,44 @@ POWER_CAP = 64
 
 
 class NormMemo:
-    """Normal forms that the contexts of one formula's candidates share.
+    """What the candidates of one formula share: the results of the
+    passes `simplify` runs on each, `norm` and the three before it.
 
     ``norms`` maps a non-leaf node to its frozen `_norm` result, and
     ``canons`` maps a `canon` key to its canonical IR.  Each entry also
     keeps its own ticks (those spent outside nested `canon` computations)
     and the closure of the `canon` keys its computation touched, so that
     a context reusing it can charge what computing it afresh would cost
-    (`NormContext.charge`).  Nothing in it depends on a step budget or on
-    the order in which contexts fill it."""
+    (`NormContext.charge`).  ``computed`` holds other computations whose
+    steps count in a context the same way (`NormContext.reuse`): the
+    Bessel pass's replacement maps, keyed by the tuple of Bessel nodes
+    they were computed from.
 
-    __slots__ = ("norms", "canons")
+    The passes before `norm` keep their per-node results here too:
+    ``derivatives`` (`calculus.resolve_derivatives`), ``rewrites`` (the
+    rewritten node and the rule steps it took) and ``bessel_nodes`` (the
+    Bessel-family nodes below a node, in pre-order).  Every entry is
+    keyed by node, so a candidate's root is always computed afresh, and
+    holds for the one set of domains and rewrite rules the memo serves.
+    Nothing in it depends on a step budget or on the order in which
+    contexts fill it."""
+
+    __slots__ = ("norms", "canons", "computed", "derivatives", "rewrites",
+                 "bessel_nodes")
 
     def __init__(self):
         # node -> (num items, den items, own ticks, canon closure)
         self.norms: dict[Expr, tuple] = {}
         # key -> (canonical IR, own ticks, canon closure including key)
         self.canons: dict[Expr, tuple] = {}
+        # key -> (value, own ticks, canon closure)
+        self.computed: dict[object, tuple] = {}
+        # node -> node with its derivatives resolved
+        self.derivatives: dict[Expr, Expr] = {}
+        # node -> (rewritten node, rule steps)
+        self.rewrites: dict[Expr, tuple[Expr, int]] = {}
+        # node -> the Bessel-family nodes in it, in pre-order
+        self.bessel_nodes: dict[Expr, tuple[Expr, ...]] = {}
 
 
 _NO_KEYS: frozenset = frozenset()
@@ -115,12 +140,12 @@ class NormContext:
     context counts each `canon` key's computation once: the set of keys it
     has charged is closed downward (with a key, every key its computation
     touched).  Without a memo that is all that is reused.  With a
-    `NormMemo`, `_norm` and `canon` results computed by earlier contexts
-    are reused too, and each reuse is charged what a fresh computation
-    would count here (`charge`), so ``steps`` and the point where the
-    budget runs out do not depend on what the memo held.  The memo is
-    keyed by node alone, so every context sharing one must carry the same
-    ``domains``.  A context that raised is not used again."""
+    `NormMemo`, `_norm`, `canon` and `reuse` results computed by earlier
+    contexts are reused too, and each reuse is charged what a fresh
+    computation would count here (`charge`), so ``steps`` and the point
+    where the budget runs out do not depend on what the memo held.  The
+    memo is keyed by node alone, so every context sharing one must carry
+    the same ``domains``.  A context that raised is not used again."""
 
     __slots__ = ("budget", "steps", "memo", "domains", "_canon_memo",
                  "_canon_ticks", "_touched")
@@ -162,6 +187,28 @@ class NormContext:
         self._canon_ticks += canon_ticks
         for k in new:
             charged[k] = canons[k][0]
+
+    def reuse(self, key, compute: Callable[[], T]) -> T:
+        """``compute()``, shared under ``key`` through the memo's
+        ``computed`` table when the context has a memo, and charged on
+        reuse what computing it here would count (`charge`)."""
+        memo = self.memo
+        if memo is None:
+            return compute()
+        touched = self._touched
+        hit = memo.computed.get(key)
+        if hit is not None:
+            value, own, keys = hit
+            self.charge(own, keys)
+            if keys:
+                touched.append(keys)
+            return value
+        start = len(touched)
+        steps, canon_ticks = self.steps, self._canon_ticks
+        value = compute()
+        own = self.steps - steps - (self._canon_ticks - canon_ticks)
+        memo.computed[key] = (value, own, _close(touched, start))
+        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -805,14 +852,20 @@ def _norm_bigop(expr: BigOp, ctx: NormContext) -> _Rat:
 
 # --- gamma reflection ---
 
-def _gamma_pairs(mono: Mono, ctx: NormContext) -> Optional[tuple[int, int, Expr, int]]:
-    """Indices of a gamma pair whose arguments sum to an integer m in
-    {0, 1}; returns (i, j, argument_of_first, m)."""
-    gammas = [
+def _gamma_atoms(mono: Mono) -> list[tuple[int, Expr]]:
+    """Index and argument of each gamma atom in ``mono`` with a positive
+    integer exponent: the atoms a reflection pair is drawn from."""
+    return [
         (i, atom.args[0]) for i, (atom, exp) in enumerate(mono)
         if isinstance(atom, FunctionApp) and atom.func == "gamma"
         and isinstance(exp, _RAT) and exp.denominator == 1 and exp >= 1
     ]
+
+
+def _gamma_pairs(mono: Mono, ctx: NormContext) -> Optional[tuple[int, int, Expr, int]]:
+    """Indices of a gamma pair whose arguments sum to an integer m in
+    {0, 1}; returns (i, j, argument_of_first, m)."""
+    gammas = _gamma_atoms(mono)
     for x in range(len(gammas)):
         for y in range(x + 1, len(gammas)):
             i, u = gammas[x]
@@ -831,6 +884,10 @@ def norm_plain(expr: Expr, ctx: NormContext) -> RatForm:
 
 
 def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
+    # With no monomial holding two gamma atoms nothing can pair, and the
+    # term-by-term rebuild below would only copy ``p`` (with no ticks).
+    if all(len(_gamma_atoms(mono)) < 2 for mono in p):
+        return _Rat(p, dict(ONE_POLY)), False
     changed = False
     total = _Rat({}, dict(ONE_POLY))
     for mono, coef in p.items():

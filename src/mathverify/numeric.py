@@ -29,6 +29,7 @@ from .constraints import SpecialValueAssignment, VariableDomain, check_domain
 from .errors import (
     ConvergenceFailure,
     EvaluationError,
+    MathVerifyError,
     NumericallyUnsupported,
     PoleOrSingularity,
     VerificationTimeout,
@@ -102,10 +103,11 @@ class EvalContext:
 
     ``values`` is the value table: it maps ``(func, mp.prec, number of
     params, raw operand...)`` to the finite value of that function
-    application.  An operand is keyed by its raw ``_mpf_`` or ``_mpc_``
-    tuple, which tells a real from a complex number with zero imaginary
-    part; the working precision is in the key because ``mp.quad`` raises
-    it inside an integrand.
+    application, or to the `MathVerifyError` its evaluation raised, which
+    every later occurrence raises again without evaluating.  An operand
+    is keyed by its raw ``_mpf_`` or ``_mpc_`` tuple, which tells a real
+    from a complex number with zero imaginary part; the working precision
+    is in the key because ``mp.quad`` raises it inside an integrand.
     """
 
     __slots__ = ("deadline", "branch_sensitive", "values")
@@ -235,17 +237,39 @@ def _eval_function(expr: FunctionApp, assign: dict, ctx: EvalContext):
     values = ctx.values
     value = values.get(key)
     if value is not None:
+        if isinstance(value, MathVerifyError):
+            raise _bare_copy(value)
         return value
+    try:
+        value = _apply(func, params, args, ctx)
+    except MathVerifyError as exc:
+        if len(values) < MAX_TABLE_VALUES:
+            values[key] = _bare_copy(exc)
+        raise
+    if len(values) < MAX_TABLE_VALUES:
+        values[key] = value
+    return value
+
+
+def _bare_copy(exc: MathVerifyError) -> MathVerifyError:
+    """``exc`` with its message and attributes but no traceback or cause.
+    The table stores and raises such copies: an error raised here would
+    carry frames that hold the context, and so keep the table alive."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
+
+
+def _apply(func: str, params: list, args: list, ctx: EvalContext):
+    """The finite value of one function application, or the
+    `MathVerifyError` that tells why there is none."""
     try:
         value = _dispatch(func, params, args, ctx)
     except mpmath.libmp.NoConvergence as exc:
         raise ConvergenceFailure(str(exc)) from exc
     except (ZeroDivisionError, ValueError, ArithmeticError) as exc:
         raise PoleOrSingularity(f"{func}: {exc}") from exc
-    _check_finite(value)
-    if len(values) < MAX_TABLE_VALUES:
-        values[key] = value
-    return value
+    return _check_finite(value)
 
 
 def _flag_negative_real(z, ctx: EvalContext) -> None:

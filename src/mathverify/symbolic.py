@@ -295,19 +295,25 @@ class _Rewriter:
     """Bottom-up rewriting to a fixpoint per node.  `rewrite` hands back
     its input itself wherever no rule fired in it: a subtree whose
     `ir.heads` miss every pattern head is not even visited, unless a bare
-    placeholder rule, which matches any node, is in the table."""
+    placeholder rule, which matches any node, is in the table.  ``done``
+    maps each node rewritten so far, in this call or (through a
+    `NormMemo`) in earlier calls with the same rules and domains, to its
+    result and the steps that took; a node found there costs those steps
+    again, and the budget holds as if it had been rewritten anew."""
 
     def __init__(self, rules: Sequence[RewriteRule],
-                 domains: Sequence[VariableDomain], budget: int):
+                 domains: Sequence[VariableDomain], budget: int,
+                 done: Optional[dict[Expr, tuple[Expr, int]]] = None):
         self.index = _rule_index(rules)
         # None when a bare placeholder rule can fire at any node.
         self.pattern_heads = None if self.index[None] else self.index.keys() - {None}
         self.domains = domains
         self.budget = budget
         self.steps = 0
+        self.done = {} if done is None else done
 
-    def _tick(self):
-        self.steps += 1
+    def _tick(self, steps: int = 1):
+        self.steps += steps
         if self.steps > self.budget:
             raise BudgetExceeded("rewrite budget exhausted")
 
@@ -332,19 +338,33 @@ class _Rewriter:
         if self.pattern_heads is not None \
                 and self.pattern_heads.isdisjoint(ir.heads(expr)):
             return expr
+        hit = self.done.get(expr)
+        if hit is not None:
+            out, steps = hit
+            if not steps:
+                return expr  # no rule fired in it, so ``out`` equals it
+            self._tick(steps)
+            return out
+        start = self.steps
         rebuilt = ir.map_children(expr, self.rewrite)
         for _ in range(32):
             replaced = self._try_rules(rebuilt)
             if replaced is None:
-                return rebuilt
+                break
             rebuilt = ir.map_children(replaced, self.rewrite)
+        self.done[expr] = (rebuilt, self.steps - start)
         return rebuilt
 
 
 def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
                 domains: Sequence[VariableDomain] = (),
-                budget: int = 10_000) -> tuple[Expr, int]:
-    rw = _Rewriter(rules, domains, budget)
+                budget: int = 10_000,
+                memo: Optional[NormMemo] = None) -> tuple[Expr, int]:
+    """``expr`` rewritten by ``rules`` under ``domains``, and the number
+    of rule firings that took.  ``memo`` shares rewritten subtrees with
+    earlier calls on the candidates of the same formula, which must pass
+    the same rules and domains."""
+    rw = _Rewriter(rules, domains, budget, None if memo is None else memo.rewrites)
     out = rw.rewrite(expr)
     return out, rw.steps
 
@@ -516,21 +536,39 @@ def to_hypergeometric_form(expr: Expr) -> Expr:
 
 # --- Bessel order-lattice reduction ---
 
-def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
-    """Rewrite Bessel-family terms whose orders differ by integers onto
-    the two lowest lattice orders via the three-term recurrences.  A tree
-    with no Bessel-family function comes back itself."""
+def _is_bessel(node: Expr) -> bool:
+    return isinstance(node, FunctionApp) and node.func in BESSEL_FAMILIES \
+        and len(node.params) == 1 and len(node.args) == 1
+
+
+def _bessel_nodes(expr: Expr, done: dict[Expr, tuple[Expr, ...]]) -> tuple[Expr, ...]:
+    """The Bessel-family nodes of ``expr`` in pre-order (`ir.walk`),
+    repeats included; ``done`` holds those of the nodes seen before."""
     if BESSEL_FAMILIES.isdisjoint(ir.heads(expr)):
-        return expr
+        return ()
+    hit = done.get(expr)
+    if hit is not None:
+        return hit
+    out = (expr,) if _is_bessel(expr) else ()
+    for child in ir.children(expr):
+        out += _bessel_nodes(child, done)
+    done[expr] = out
+    return out
+
+
+def _order_replacements(nodes: Sequence[Expr], ctx: NormContext,
+                        ) -> dict[tuple[str, Expr, Expr], Expr]:
+    """``(func, canonical order, canonical argument) -> recurrence form``
+    for each of ``nodes`` that is two or more integer steps above the
+    lowest order of its lattice class.  A class's base order is the first
+    one met, so the result depends on the order of ``nodes``."""
     groups: dict[tuple[str, Expr], list[Expr]] = {}
-    for node in ir.walk(expr):
-        if isinstance(node, FunctionApp) and node.func in BESSEL_FAMILIES \
-                and len(node.params) == 1 and len(node.args) == 1:
-            key = (node.func, canon(node.args[0], ctx))
-            order = canon(node.params[0], ctx)
-            bucket = groups.setdefault(key, [])
-            if order not in bucket:
-                bucket.append(order)
+    for node in nodes:
+        key = (node.func, canon(node.args[0], ctx))
+        order = canon(node.params[0], ctx)
+        bucket = groups.setdefault(key, [])
+        if order not in bucket:
+            bucket.append(order)
     replacements: dict[tuple[str, Expr, Expr], Expr] = {}
     for (func, arg), orders in groups.items():
         classes: list[list[tuple[Expr, int]]] = []
@@ -577,12 +615,27 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
             for order, off in members:
                 if off >= 2:
                     replacements[(func, order, arg)] = member_at(off)
+    return replacements
+
+
+def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
+    """Rewrite Bessel-family terms whose orders differ by integers onto
+    the two lowest lattice orders via the three-term recurrences.  A tree
+    with no Bessel-family function comes back itself.  The replacements
+    depend only on the tree's distinct Bessel nodes in order of first
+    occurrence, so the candidates of one formula that hold the same ones
+    share them through the context's memo (`NormContext.reuse`)."""
+    if BESSEL_FAMILIES.isdisjoint(ir.heads(expr)):
+        return expr
+    memo = ctx.memo
+    nodes = tuple(dict.fromkeys(
+        _bessel_nodes(expr, {} if memo is None else memo.bessel_nodes)))
+    replacements = ctx.reuse(nodes, lambda: _order_replacements(nodes, ctx))
     if not replacements:
         return expr
 
     def replace(node: Expr) -> Expr:
-        if isinstance(node, FunctionApp) and node.func in BESSEL_FAMILIES \
-                and len(node.params) == 1 and len(node.args) == 1:
+        if _is_bessel(node):
             key = (node.func, canon(node.params[0], ctx), canon(node.args[0], ctx))
             hit = replacements.get(key)
             if hit is not None:
@@ -608,39 +661,41 @@ def _classify(rf: RatForm, target: str, steps: int) -> SymbolicOutcome:
 
 
 def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
-             memo: Optional[NormMemo] = None) -> tuple[SymbolicOutcome, Expr]:
+             memo: Optional[NormMemo] = None,
+             ) -> tuple[SymbolicOutcome, Optional[RatForm]]:
     """Normalize one expression and classify the result against the
     configured target (0 for differences, 1 for quotients).  The second
-    element is the residual: the normal form as IR, or ``expr`` when
-    normalization stopped.
+    element is the normal form (`normform.emit` turns it into IR), or
+    None when normalization stopped.
 
-    ``memo`` shares normal forms with earlier calls on the candidates of
-    the same formula, under the same assumptions; ``steps_used`` counts
-    what a fresh normalization would, whatever the memo reused."""
+    ``memo`` shares what the passes compute (derivatives resolved, rules
+    applied, Bessel orders reduced, normal forms) with earlier calls on
+    the candidates of the same formula, under the same assumptions and
+    rules; ``steps_used`` counts what a fresh run would, whatever the
+    memo reused."""
     config = config or SimplifyConfig()
     ctx = NormContext(budget=config.rewrite_step_budget, memo=memo,
                       domains=config.assumptions)
     rule_budget = max(1, config.rewrite_step_budget // 10)
     rule_steps = None  # set once the rule stage has finished
     try:
-        e = resolve_derivatives(expr)
+        e = resolve_derivatives(expr, None if memo is None else memo.derivatives)
         e, rule_steps = apply_rules(
-            e, config.rules, config.assumptions, budget=rule_budget,
+            e, config.rules, config.assumptions, budget=rule_budget, memo=memo,
         )
         e = reduce_bessel_orders(e, ctx)
         rf = norm(e, ctx)
     except BudgetExceeded:
         # The rewriter raises on the step one past its budget.
         steps = rule_budget + 1 if rule_steps is None else ctx.steps
-        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps), expr
+        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps), None
     except SymbolicError as exc:
         return (
             SymbolicOutcome(CLASS_ERROR, error_kind=type(exc).__name__,
                             steps_used=ctx.steps),
-            expr,
+            None,
         )
-    outcome = _classify(rf, config.mode, rule_steps + ctx.steps)
-    return outcome, emit(rf)
+    return _classify(rf, config.mode, rule_steps + ctx.steps), rf
 
 
 def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,

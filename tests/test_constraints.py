@@ -308,6 +308,19 @@ def test_check_domain_exclusion():
     assert check_domain([domain], {"x": Fraction(2)})
 
 
+def test_non_real_value_passes_a_real_exclusion(tables):
+    # No non-real value equals a real exclusion, so x \ne 1 accepts one;
+    # a real shape on the same variable still rejects it.
+    interp = interpret_constraints([r"x \ne 1"], tables.blueprints, tables.macro_table)
+    (domain,) = interp.domains
+    assert domain == VariableDomain("x", "complex", exclusions=(Fraction(1),))
+    assert check_domain([domain], {"x": complex(0.3, 0.7)})
+    assert not check_domain([domain], {"x": complex(1, 0)})
+    assert not check_domain([domain], {"x": Fraction(1)})
+    shaped = VariableDomain("x", "complex", interval=(Fraction(0), True, None, False))
+    assert not check_domain([shaped], {"x": complex(0.3, 0.7)})
+
+
 def test_domain_from_atomic_flips_sides():
     domain = domain_from_atomic("0 < x")
     assert domain.var == "x"

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathverify import ir
+from mathverify import ir, normform
 from mathverify.constraints import VariableDomain
 from mathverify.errors import SymbolicError
 from mathverify.ir import Const, FunctionApp, Number, Var
@@ -145,6 +145,26 @@ def test_gamma_constants_fold_only_within_the_power_budget():
         assert emit(norm(_gamma(big))) == _gamma(big)
     # Poles stay atoms whatever their size.
     assert emit(norm(_gamma(-3))) == _gamma(-3)
+
+
+def test_gamma_reflection_hands_back_a_polynomial_without_gamma_pairs():
+    # Every monomial of (Gamma(x) + y + z)^6 / (Gamma(x) + 1) holds at most
+    # one gamma atom, so no pair can reflect: the numerator and
+    # denominator come back as they are, and no step is taken.
+    gamma_x = FunctionApp("gamma", (), (_X,))
+    ctx = NormContext()
+    rat = normform._norm(ir.div(ir.power(ir.add(gamma_x, _Y, Var("z")), ir.num(6)),
+                                ir.add(gamma_x, ir.ONE)), ctx)
+    steps = ctx.steps
+    assert len(rat.num) == 28
+    assert normform._gamma_reflect(rat, ctx) is rat
+    reflected, changed = normform._reflect_poly(rat.num, ctx)
+    assert reflected.num is rat.num and not changed
+    assert ctx.steps == steps
+    # A pair still reflects: Gamma(x) Gamma(1 - x) = pi / sin(pi x).
+    pair = ir.mul(gamma_x, FunctionApp("gamma", (), (ir.sub(ir.ONE, _X),)))
+    assert norm(pair) == norm(ir.div(Const(ir.PI), FunctionApp(
+        "sin", (), (ir.mul(Const(ir.PI), _X),))))
 
 
 def _check_storage(rf):

@@ -922,15 +922,52 @@ def test_real_and_complex_operands_of_equal_value_are_kept_apart(dispatch_calls)
 
 
 def test_repeated_pole_is_skipped_at_every_assignment(dispatch_calls):
-    # Neither the pole of gamma nor the infinite value of K(1) is stored:
-    # both raise at every occurrence.
+    # The pole of gamma and the infinite value of K(1) are stored as the
+    # errors they raise: both raise at every occurrence, and only the
+    # first one is evaluated.
     for pole in (_f("gamma", ir.num(-1)), _f("elliptic_k", ir.ONE)):
         del dispatch_calls[:]
         side = ir.add(Var("x"), pole)
         out = verify_numeric(ir.Relation(ir.REL_EQ, side, side), (), None, CONFIG)
         assert out.classification == CLASS_NO_VALID_VALUES
         assert out.skipped == [{"x": "-1/2"}, {"x": "1/2"}, {"x": "3/2"}]
-        assert dispatch_calls == [pole.func] * 3
+        assert dispatch_calls == [pole.func]
+        # The table holds the error without the frames it was raised
+        # through, and each occurrence raises an equal one.
+        ctx = EvalContext()
+        raised = []
+        for _ in range(2):
+            with pytest.raises(PoleOrSingularity) as info:
+                eval_expr(pole, {}, CONFIG, ctx)
+            raised.append(str(info.value))
+        (stored,) = ctx.values.values()
+        assert type(stored) is PoleOrSingularity and stored.__traceback__ is None
+        assert raised == [str(stored)] * 2
+
+
+def test_failed_evaluation_is_dispatched_once_per_operands(tables, monkeypatch):
+    # At n = alpha = -1/2 mpmath takes seconds before it raises; each of
+    # the three x values there is one failed evaluation, the other 24
+    # assignments are values the rhs reuses, and no key is dispatched twice.
+    from mathverify.extraction import FormulaRecord
+    from mathverify.pipeline import PipelineOptions, verify_record
+
+    keys = []
+    dispatch = numeric._dispatch
+
+    def counting(func, params, args, ctx):
+        keys.append((func, *map(str, params + args)))
+        return dispatch(func, params, args, ctx)
+    monkeypatch.setattr(numeric, "_dispatch", counting)
+    record = FormulaRecord("OP.99", "OP",
+                           r"\LaguerreL[\alpha]{n}@{x} = \LaguerreL[\alpha]{n}@{x}")
+    out = verify_record(record, tables, PipelineOptions(run_symbolic=False)).numeric
+    assert out.classification == CLASS_VERIFIED
+    assert len(out.evaluations) == 24
+    assert out.skipped == [{"alpha": "-1/2", "n": "-1/2", "x": x}
+                           for x in ("-1/2", "1/2", "3/2")]
+    assert len(keys) == 27
+    assert len(set(keys)) == len(keys)
 
 
 def test_log_of_a_negative_real_stays_branch_sensitive(dispatch_calls):

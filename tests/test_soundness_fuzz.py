@@ -29,7 +29,7 @@ ATOMS = ("x", "y", "-x", "2", r"\iunit", "x y", r"\frac{x}{y}", "x^{2}",
          r"\expe^{x}", r"\ln@{x}", r"\sqrt{x}")
 EXPONENTS = tuple(Fraction(p) for p in ("2", "-1", "1/2", "-1/2", "1/3", "3/2", "3"))
 CONSTRAINTS = ((), ("x > 0",), ("x < 0",), (r"x \in \Real", "y > 0"),
-               ("x > 0", r"x \ne 1"))
+               ("x > 0", r"x \ne 1"), (r"x \ne 1",))
 # Negative reals, a positive real and points off the real line.
 VALUES = (Fraction(-1, 2), Fraction(-3, 2), Fraction(2, 3),
           complex(0.3, 0.7), complex(-0.6, -0.4), complex(-1.2, 0.5))

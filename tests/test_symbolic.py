@@ -189,9 +189,9 @@ def test_simplify_constant_difference_flagged(tables):
 
 def test_simplify_budget_exhaustion_is_unsimplified(tables):
     expr = ir.power(ir.add(Var("x"), Var("y"), Var("z")), ir.num(30))
-    out, residual = simplify(expr, default_config(tables, rewrite_step_budget=50))
+    out, rf = simplify(expr, default_config(tables, rewrite_step_budget=50))
     assert out.classification == CLASS_UNSIMPLIFIED
-    assert residual == expr
+    assert rf is None
 
 
 @pytest.mark.parametrize("latex, budget, steps", [
@@ -475,16 +475,62 @@ def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
     assert any(len(e) == 2 for e in expansions)
 
 
+def test_each_candidate_calls_the_traced_passes_once(tables, mini_corpus, monkeypatch):
+    # The benchmark's trace rebinds these module globals; with the
+    # formula's memo shared, each simplify call must still go through each
+    # of them once, or a traced layer would read 0 ms.
+    calls = {name: [] for name in ("simplify", "apply_rules", "reduce_bessel_orders",
+                                   "norm")}
+
+    def counting(name):
+        real = getattr(symbolic, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(kwargs.get("memo", args[2] if name == "simplify" else None))
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(symbolic, name, counting(name))
+    config = default_config(tables)
+    for _, rel, domains in _corpus_equations(tables, mini_corpus):
+        verify_symbolic(rel, domains, config)
+    assert len(calls["simplify"]) > 90
+    assert len(calls["apply_rules"]) == len(calls["reduce_bessel_orders"]) == \
+        len(calls["norm"]) == len(calls["simplify"])
+    # Every call shares its formula's memo with the rule stage.
+    assert calls["apply_rules"] == calls["simplify"]
+    assert all(isinstance(memo, NormMemo) for memo in calls["simplify"])
+
+
 # Exhausted budgets (the smallest stop in the rules or the Bessel pass,
 # the others part way through normalization) and the default.
 _SWEEP_BUDGETS = (1, 4, 10, 25, 61, 97, 140, 199, 262, 331, 418, 500_000)
 
+# A user rule with an Add head: it matches the root of every difference
+# candidate of two terms, and of every two-term sum below it, and swaps
+# the terms (32 times, the most one node is rewritten).
+_SWAP_TERMS = RewriteRule(ir.add(Var("var1"), Var("var2")), ir.add(Var("var2"), Var("var1")),
+                          (), "var1 + var2 -> var2 + var1")
 
-def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
-    """verify_symbolic shares one NormMemo across a formula's candidates.
-    The outcomes, steps included, must be those of a fresh memo per
-    candidate and of no memo at all, on every budget of the sweep."""
+# Bessel functions whose arguments hold Bessel functions: the inner ones
+# are reduced first, so the outer ones are looked up under new arguments.
+_NESTED_BESSEL = (
+    r"\BesselJ{\mu+2}@{\BesselJ{\nu+2}@{z}} = \frac{2(\mu+1)}{\BesselJ{\nu+2}@{z}}"
+    r"\BesselJ{\mu+1}@{\BesselJ{\nu+2}@{z}} - \BesselJ{\mu}@{\BesselJ{\nu+2}@{z}}",
+    r"\BesselJ{\mu+2}@{\BesselJ{\nu+2}@{z}} + \BesselJ{\nu}@{z} = "
+    r"\frac{2(\mu+1)}{\BesselJ{\nu+2}@{z}}\BesselJ{\mu+1}@{\BesselJ{\nu+2}@{z}}"
+    r" - \BesselJ{\mu}@{\BesselJ{\nu+2}@{z}} + \frac{2(\nu+1)}{z}\BesselJ{\nu+1}@{z}"
+    r" - \BesselJ{\nu+2}@{z}",
+)
+
+
+def _memo_sweep(tables, mini_corpus, monkeypatch, rules):
+    """Every outcome of the sweep, which must be the same with the
+    formula's shared memo, a fresh memo per candidate and no memo."""
     equations = _corpus_equations(tables, mini_corpus)
+    equations += [(f"nested_bessel{k}", tr(latex, tables), ())
+                  for k, latex in enumerate(_NESTED_BESSEL)]
     real_simplify = symbolic.simplify
 
     def sweep(new_memo):
@@ -493,7 +539,7 @@ def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
                                 real_simplify(expr, config, new_memo()))
         out = {}
         for budget in _SWEEP_BUDGETS:
-            config = default_config(tables, rewrite_step_budget=budget)
+            config = default_config(tables, rewrite_step_budget=budget, rules=rules)
             for rid, rel, domains in equations:
                 out[budget, rid] = _fields(verify_symbolic(rel, domains, config))
         return out
@@ -501,9 +547,35 @@ def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
     shared = sweep(None)
     assert sweep(NormMemo) == shared
     assert sweep(lambda: None) == shared
+    monkeypatch.undo()
+    assert shared[500_000, "nested_bessel0"][0] in (CLASS_ZERO, CLASS_ONE)
+    return equations, shared
+
+
+def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
+    """verify_symbolic shares one NormMemo across a formula's candidates:
+    the passes before `norm` and `norm` itself reuse what earlier
+    candidates computed.  The outcomes, steps included, must be those of
+    a fresh memo per candidate and of no memo at all, on every budget of
+    the sweep."""
+    _, shared = _memo_sweep(tables, mini_corpus, monkeypatch, tables.rewrite_rules)
     exhausted = [key for key, fields in shared.items() if fields[3] == key[0] + 1]
     assert len({budget for budget, _ in exhausted}) >= 8
     assert sum(fields[0] == CLASS_ZERO for fields in shared.values()) > 200
+
+
+def test_shared_memo_keeps_every_outcome_under_a_rule_matching_at_the_root(
+        tables, mini_corpus, monkeypatch):
+    # The memo is keyed by node, so a candidate's root is rewritten afresh
+    # and a pattern that matches there fires as it would without a memo.
+    equations, shared = _memo_sweep(tables, mini_corpus, monkeypatch,
+                                    tables.rewrite_rules + (_SWAP_TERMS,))
+    roots = [ir.sub(rel.lhs, rel.rhs) for _, rel, _ in equations]
+    assert sum(symbolic.match_pattern(_SWAP_TERMS.pattern, root, {}) for root in roots) >= 5
+    # The swaps run the rule stage out on most budgets of the sweep.
+    exhausted = [key for key, fields in shared.items()
+                 if fields[3] == max(1, key[0] // 10) + 1]
+    assert len({budget for budget, _ in exhausted}) >= 8
 
 
 # --- rule index ---
@@ -610,9 +682,9 @@ def test_rule_index_matches_linear_scan_on_corpus_candidates(tables, mini_corpus
     seen = []
     real_apply = symbolic.apply_rules
 
-    def recording_apply(expr, rules, domains=(), budget=10_000):
+    def recording_apply(expr, rules, domains=(), budget=10_000, memo=None):
         seen.append((expr, tuple(domains), budget))
-        return real_apply(expr, rules, domains, budget)
+        return real_apply(expr, rules, domains, budget, memo=memo)
 
     monkeypatch.setattr(symbolic, "apply_rules", recording_apply)
     config = default_config(tables)

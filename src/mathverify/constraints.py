@@ -30,13 +30,14 @@ from .errors import (
     PlaceholderValueCountMismatch,
     UnknownSetSymbol,
 )
-from .ir import Add, Const, Expr, FunctionApp, Mul, Neg, Number, Pow, Var
+from .ir import Add, Const, Expr, FunctionApp, Mul, Neg, Number, Pow, Var, frozen
 from .parser import (
+    COMMA,
+    DIGIT,
     RELATION_SPELLINGS,
     MacroTable,
     ParseNode,
     Token,
-    TokenCategory,
     flatten_tokens,
     is_placeholder_name,
     join_token_texts,
@@ -74,7 +75,7 @@ _INEQUALITY_TEXTS = frozenset(
 _FLIP = {text: text.translate(str.maketrans("<>lg", "><gl")) for text in _INEQUALITY_TEXTS}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class VariableDomain:
     var: str
     base_set: str = BASE_REAL
@@ -95,13 +96,13 @@ class VariableDomain:
             raise MathVerifyError("progression step must be nonzero")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SpecialValueAssignment:
     assignments: dict[str, Fraction]
     source_blueprint: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ConstraintBlueprint:
     pattern: ParseNode
     pattern_tokens: tuple[Token, ...]
@@ -203,7 +204,7 @@ def _split_on(tokens: Sequence[Token], text: str) -> Optional[tuple[list[Token],
 def _split_commas(tokens: Sequence[Token]) -> list[list[Token]]:
     chunks: list[list[Token]] = [[]]
     for t in tokens:
-        if t.category is TokenCategory.COMMA:
+        if t.category is COMMA:
             chunks.append([])
         else:
             chunks[-1].append(t)
@@ -219,7 +220,7 @@ def _parse_var_list(tokens: Sequence[Token]) -> list[tuple[Fraction, str]]:
             raise ConstraintError("empty variable in list")
         coefficient = Fraction(1)
         rest = chunk
-        if len(chunk) >= 2 and chunk[0].category is TokenCategory.DIGIT:
+        if len(chunk) >= 2 and chunk[0].category is DIGIT:
             coefficient = parse_rational(chunk[0].text)
             rest = chunk[1:]
         if len(rest) != 1:
@@ -395,17 +396,17 @@ def _split_sign(tokens: Sequence[Token]) -> tuple[int, Sequence[Token]]:
 
 def _is_literal_number(tokens: Sequence[Token]) -> bool:
     _, body = _split_sign(tokens)
-    return len(body) == 1 and body[0].category is TokenCategory.DIGIT
+    return len(body) == 1 and body[0].category is DIGIT
 
 
 def _literal_value(tokens: Sequence[Token]) -> Optional[Fraction]:
     """The signed rational ``N`` or ``N/M`` the tokens spell after an
     optional leading + or -; None for anything else, ``N/0`` included."""
     sign, body = _split_sign(tokens)
-    if len(body) == 1 and body[0].category is TokenCategory.DIGIT:
+    if len(body) == 1 and body[0].category is DIGIT:
         return sign * parse_rational(body[0].text)
-    if len(body) == 3 and body[0].category is TokenCategory.DIGIT and \
-            body[1].text == "/" and body[2].category is TokenCategory.DIGIT:
+    if len(body) == 3 and body[0].category is DIGIT and \
+            body[1].text == "/" and body[2].category is DIGIT:
         denominator = parse_rational(body[2].text)
         if denominator:
             return sign * parse_rational(body[0].text) / denominator

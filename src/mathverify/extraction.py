@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -22,7 +22,16 @@ from .errors import (
     MathVerifyError,
     UnclosedEnvironment,
 )
-from .parser import RELATION_SPELLINGS, Token, TokenCategory, join_token_texts, tokenize
+from .ir import frozen
+from .parser import (
+    CONTROL_SEQUENCE,
+    GROUP_CLOSE,
+    GROUP_OPEN,
+    RELATION_SPELLINGS,
+    Token,
+    join_token_texts,
+    tokenize,
+)
 
 
 FORMULA_ENVIRONMENTS = ("equation", "equationmix", "equationgroup", "align")
@@ -53,7 +62,7 @@ _STRIP_COMMANDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FormulaRecord:
     id: str
     chapter_code: str
@@ -95,14 +104,14 @@ class FormulaRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PreambleMacro:
     name: str
     num_params: int
     replacement: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ChapterSource:
     chapter_code: str
     body: str
@@ -218,7 +227,7 @@ def _apply_substitutions(latex: str, rules: Sequence[tuple[list[str], str]]) -> 
 
 # --- scan one ---
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class _Env:
     name: str
     content: str
@@ -415,7 +424,7 @@ def _has_cull_environment(latex: str) -> bool:
 
 def _has_cull_word(tokens: list[Token]) -> bool:
     return any(
-        t.category is TokenCategory.CONTROL_SEQUENCE and t.text in CULL_CONTROL_WORDS
+        t.category is CONTROL_SEQUENCE and t.text in CULL_CONTROL_WORDS
         for t in tokens
     )
 
@@ -465,9 +474,9 @@ def _top_level_relations(tokens: list[Token]) -> list[int]:
     depth = 0
     out = []
     for idx, t in enumerate(tokens):
-        if t.category is TokenCategory.GROUP_OPEN:
+        if t.category is GROUP_OPEN:
             depth += 1
-        elif t.category is TokenCategory.GROUP_CLOSE:
+        elif t.category is GROUP_CLOSE:
             depth -= 1
         elif depth == 0 and t.text in RELATION_TEXTS:
             out.append(idx)

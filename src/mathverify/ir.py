@@ -9,7 +9,7 @@ eagerly, and negation of a literal folds into the literal itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from operator import is_
 from typing import Callable, Iterator, Optional
@@ -25,9 +25,49 @@ class Expr:
     __slots__ = ("_hash", "_sort_key", "_heads")
 
 
+def frozen(cls):
+    """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that
+    costs about half the stock one.
+
+    The stock frozen ``__init__`` writes each field through
+    ``object.__setattr__``.  The one generated here in its place takes the
+    same parameters and defaults, writes each slot through its member
+    descriptor and then calls ``__post_init__`` when the class defines
+    one.  Equality, hashing, ``repr``, pickling, `dataclasses.replace` and
+    the `FrozenInstanceError` on assignment are the stock dataclass's.
+    A field with a ``default_factory``, ``init=False`` or ``kw_only``,
+    which this ``__init__`` does not reproduce, raises TypeError."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    params, lines, env = [], [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: frozen supports "
+                            "positional fields with plain defaults only")
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        lines.append(f"  _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        lines.append("  self.__post_init__()")
+    source = (f"def _make({', '.join(env)}):\n"
+              f" def __init__(self, {', '.join(params)}):\n"
+              + "\n".join(lines)
+              + "\n return __init__\n")
+    namespace: dict = {}
+    exec(source, {}, namespace)
+    init = namespace["_make"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 def _node(cls):
-    """A frozen slotted dataclass node whose field hash is computed once."""
-    cls = dataclass(frozen=True, slots=True)(cls)
+    """A `frozen` node whose field hash is computed once."""
+    cls = frozen(cls)
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
@@ -142,7 +182,7 @@ class BigOp(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Relation:
     kind: str
     lhs: Expr

@@ -54,6 +54,7 @@ from .ir import (
     Number,
     Pow,
     Var,
+    frozen,
 )
 
 # A rational coefficient or exponent: int when integral, Fraction
@@ -211,7 +212,7 @@ class NormContext:
         return value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RatForm:
     """A normalized fraction.  `_freeze` is the only place one is built,
     so ``num`` and ``den`` are always in `_mono_sort_key` order.  Their
@@ -563,9 +564,10 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
     # Non-integer exponent: principal value.
     exp_key = _as_exp_key(exp_expr)
     if not base_rat.num:
-        if isinstance(exp_expr, Number) and exp_expr.value > 0:
+        if _positive_real_part(exp_rat):
             return _rat_const(0)
-        raise _ZeroDenominator("zero base with a non-positive exponent")
+        raise _ZeroDenominator(
+            "zero base with an exponent of no known positive real part")
     base_expr = emit(_freeze(base_rat.num, base_rat.den))
     if base_expr == ir.ONE:
         return _rat_const(1)
@@ -597,6 +599,16 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
                 out = _rat_mul(out, _atom_rat(ir.mul(*rest), exp_key), ctx)
             return out
     return _atom_rat(base_expr, exp_key)
+
+
+_I_MONO: Mono = ((Const(ir.IMAGINARY_UNIT), 1),)
+
+
+def _positive_real_part(rat: _Rat) -> bool:
+    """Whether a normal form is a + b i with rational a > 0, an exponent
+    for which the principal value of 0^(a + b i) is 0."""
+    return rat.den == ONE_POLY and rat.num.keys() <= {EMPTY_MONO, _I_MONO} \
+        and rat.num.get(EMPTY_MONO, 0) > 0
 
 
 def _pow_expr(atom: Expr, exp: ExpKey) -> Expr:

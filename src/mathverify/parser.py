@@ -18,7 +18,7 @@ per-macro failure statistics possible downstream.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -29,6 +29,7 @@ from .errors import (
     MalformedEntry,
     UnbalancedBraces,
 )
+from .ir import frozen
 
 
 class TokenCategory(Enum):
@@ -46,7 +47,24 @@ class TokenCategory(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
+# The members as module names, read once here: code that runs per token or
+# parse node reads these, since a module global costs about a third of an
+# enum member read.  The same holds for `NodeKind` below.
+LETTER = TokenCategory.LETTER
+DIGIT = TokenCategory.DIGIT
+OPERATOR = TokenCategory.OPERATOR
+RELATION = TokenCategory.RELATION
+CONTROL_SEQUENCE = TokenCategory.CONTROL_SEQUENCE
+GROUP_OPEN = TokenCategory.GROUP_OPEN
+GROUP_CLOSE = TokenCategory.GROUP_CLOSE
+SUBSCRIPT = TokenCategory.SUBSCRIPT
+SUPERSCRIPT = TokenCategory.SUPERSCRIPT
+ARG_SEPARATOR = TokenCategory.ARG_SEPARATOR
+COMMA = TokenCategory.COMMA
+OTHER = TokenCategory.OTHER
+
+
+@frozen
 class Token:
     text: str
     category: TokenCategory
@@ -96,9 +114,9 @@ def variable_name(token: Token) -> Optional[str]:
     """The variable a token names: a letter (or placeholder word) names
     itself, a Greek control word its name without the backslash; any other
     token names none."""
-    if token.category is TokenCategory.LETTER:
+    if token.category is LETTER:
         return token.text
-    if token.category is TokenCategory.CONTROL_SEQUENCE and token.text[1:] in GREEK_LETTERS:
+    if token.category is CONTROL_SEQUENCE and token.text[1:] in GREEK_LETTERS:
         return token.text[1:]
     return None
 
@@ -150,11 +168,11 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
                 word = text[i:j]
             i = j
             if word in _RELATION_TOKEN_TEXTS:
-                cat = TokenCategory.RELATION
+                cat = RELATION
             elif word in OPERATOR_CONTROL_WORDS:
-                cat = TokenCategory.OPERATOR
+                cat = OPERATOR
             else:
-                cat = TokenCategory.CONTROL_SEQUENCE
+                cat = CONTROL_SEQUENCE
             tokens.append(Token(word, cat, start))
         elif ch in _DIGITS:
             j = i
@@ -165,7 +183,7 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
                 j += 1
                 while j < n and text[j] in _DIGITS:
                     j += 1
-            tokens.append(Token(text[i:j], TokenCategory.DIGIT, start))
+            tokens.append(Token(text[i:j], DIGIT, start))
             i = j
         elif ch in _LETTERS:
             if placeholders:
@@ -177,45 +195,45 @@ def tokenize(text: str, *, placeholders: bool = False) -> list[Token]:
                     k += 1
                 word = text[i:k]
                 if is_placeholder_name(word):
-                    tokens.append(Token(word, TokenCategory.LETTER, start))
+                    tokens.append(Token(word, LETTER, start))
                     i = k
                     continue
-            tokens.append(Token(ch, TokenCategory.LETTER, start))
+            tokens.append(Token(ch, LETTER, start))
             i += 1
         elif ch == "{":
             depth += 1
-            tokens.append(Token(ch, TokenCategory.GROUP_OPEN, start))
+            tokens.append(Token(ch, GROUP_OPEN, start))
             i += 1
         elif ch == "}":
             depth -= 1
             if depth < 0:
                 raise UnbalancedBraces(f"unmatched '}}' at byte offset {start}")
-            tokens.append(Token(ch, TokenCategory.GROUP_CLOSE, start))
+            tokens.append(Token(ch, GROUP_CLOSE, start))
             i += 1
         elif ch == "^":
-            tokens.append(Token(ch, TokenCategory.SUPERSCRIPT, start))
+            tokens.append(Token(ch, SUPERSCRIPT, start))
             i += 1
         elif ch == "_":
-            tokens.append(Token(ch, TokenCategory.SUBSCRIPT, start))
+            tokens.append(Token(ch, SUBSCRIPT, start))
             i += 1
         elif ch == "@":
             if i + 1 < n and text[i + 1] == "@":
-                tokens.append(Token("@@", TokenCategory.ARG_SEPARATOR, start))
+                tokens.append(Token("@@", ARG_SEPARATOR, start))
                 i += 2
             else:
-                tokens.append(Token("@", TokenCategory.ARG_SEPARATOR, start))
+                tokens.append(Token("@", ARG_SEPARATOR, start))
                 i += 1
         elif ch == ",":
-            tokens.append(Token(ch, TokenCategory.COMMA, start))
+            tokens.append(Token(ch, COMMA, start))
             i += 1
         elif ch in _RELATION_TOKEN_TEXTS:
-            tokens.append(Token(ch, TokenCategory.RELATION, start))
+            tokens.append(Token(ch, RELATION, start))
             i += 1
         elif ch in OPERATOR_CHARS:
-            tokens.append(Token(ch, TokenCategory.OPERATOR, start))
+            tokens.append(Token(ch, OPERATOR, start))
             i += 1
         elif ch in OTHER_CHARS:
-            tokens.append(Token(ch, TokenCategory.OTHER, start))
+            tokens.append(Token(ch, OTHER, start))
             i += 1
         else:
             raise IllegalCharacter(ch, start)
@@ -231,7 +249,7 @@ AT_SINGLE = "single"
 AT_DOUBLE = "double"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SemanticMacroDef:
     name: str
     num_optional_params: int
@@ -314,7 +332,14 @@ class NodeKind(Enum):
     ROW = "row"
 
 
-@dataclass(frozen=True, slots=True)
+LEAF = NodeKind.LEAF
+GROUP = NodeKind.GROUP
+MACRO_APP = NodeKind.MACRO_APP
+SUB_SUP = NodeKind.SUB_SUP
+ROW = NodeKind.ROW
+
+
+@frozen
 class ParseNode:
     kind: NodeKind
     token: Optional[Token] = None
@@ -332,17 +357,17 @@ class ParseNode:
 
 
 def leaf(token: Token) -> ParseNode:
-    return ParseNode(NodeKind.LEAF, token=token)
+    return ParseNode(LEAF, token=token)
 
 
 def group(children: tuple[ParseNode, ...], paren: bool = False) -> ParseNode:
-    return ParseNode(NodeKind.GROUP, paren=paren, children=children)
+    return ParseNode(GROUP, paren=paren, children=children)
 
 
 def row_or_single(items: list[ParseNode]) -> ParseNode:
     if len(items) == 1:
         return items[0]
-    return ParseNode(NodeKind.ROW, children=tuple(items))
+    return ParseNode(ROW, children=tuple(items))
 
 
 class _Parser:
@@ -362,11 +387,11 @@ class _Parser:
                 if in_group:
                     raise UnbalancedBraces("group not closed before end of input")
                 break
-            if tok.category is TokenCategory.GROUP_CLOSE:
+            if tok.category is GROUP_CLOSE:
                 if not in_group:
                     raise UnbalancedBraces(f"unmatched '}}' at offset {tok.byte_offset}")
                 break
-            if tok.category in (TokenCategory.SUBSCRIPT, TokenCategory.SUPERSCRIPT):
+            if tok.category in (SUBSCRIPT, SUPERSCRIPT):
                 self.i += 1
                 script = self.parse_item()
                 base = items.pop() if items else None
@@ -378,48 +403,48 @@ class _Parser:
     @staticmethod
     def _attach_script(base: Optional[ParseNode], cat: TokenCategory,
                        script: ParseNode) -> ParseNode:
-        if base is not None and base.kind is NodeKind.SUB_SUP:
-            if cat is TokenCategory.SUBSCRIPT and base.sub is None:
-                return ParseNode(NodeKind.SUB_SUP, base=base.base, sub=script, sup=base.sup)
-            if cat is TokenCategory.SUPERSCRIPT and base.sup is None:
-                return ParseNode(NodeKind.SUB_SUP, base=base.base, sub=base.sub, sup=script)
-        if cat is TokenCategory.SUBSCRIPT:
-            return ParseNode(NodeKind.SUB_SUP, base=base, sub=script)
-        return ParseNode(NodeKind.SUB_SUP, base=base, sup=script)
+        if base is not None and base.kind is SUB_SUP:
+            if cat is SUBSCRIPT and base.sub is None:
+                return ParseNode(SUB_SUP, base=base.base, sub=script, sup=base.sup)
+            if cat is SUPERSCRIPT and base.sup is None:
+                return ParseNode(SUB_SUP, base=base.base, sub=base.sub, sup=script)
+        if cat is SUBSCRIPT:
+            return ParseNode(SUB_SUP, base=base, sub=script)
+        return ParseNode(SUB_SUP, base=base, sup=script)
 
     def parse_item(self) -> ParseNode:
         tok = self.peek()
         if tok is None:
             raise ArityMismatch("expected an item, found end of input")
-        if tok.category is TokenCategory.GROUP_OPEN:
+        if tok.category is GROUP_OPEN:
             self.i += 1
             inner = self.parse_sequence(in_group=True)
             close = self.peek()
-            if close is None or close.category is not TokenCategory.GROUP_CLOSE:
+            if close is None or close.category is not GROUP_CLOSE:
                 raise UnbalancedBraces("group not closed")
             self.i += 1
             return group(tuple(inner))
-        if tok.category is TokenCategory.OTHER and tok.text == "(":
+        if tok.category is OTHER and tok.text == "(":
             self.i += 1
             inner: list[ParseNode] = []
             while True:
                 nxt = self.peek()
                 if nxt is None:
                     raise UnbalancedBraces("'(' never closed")
-                if nxt.category is TokenCategory.OTHER and nxt.text == ")":
+                if nxt.category is OTHER and nxt.text == ")":
                     self.i += 1
                     break
-                if nxt.category in (TokenCategory.SUBSCRIPT, TokenCategory.SUPERSCRIPT):
+                if nxt.category in (SUBSCRIPT, SUPERSCRIPT):
                     self.i += 1
                     script = self.parse_item()
                     base = inner.pop() if inner else None
                     inner.append(self._attach_script(base, nxt.category, script))
                     continue
-                if nxt.category is TokenCategory.GROUP_CLOSE:
+                if nxt.category is GROUP_CLOSE:
                     raise UnbalancedBraces("'}' inside unclosed '('")
                 inner.append(self.parse_item())
             return group(tuple(inner), paren=True)
-        if tok.category is TokenCategory.CONTROL_SEQUENCE:
+        if tok.category is CONTROL_SEQUENCE:
             macro = self.table.get(tok.text)
             if macro is not None:
                 self.i += 1
@@ -448,7 +473,7 @@ class _Parser:
             optional.append(group(tuple(inner)))
         params = []
         for k in range(macro.num_params):
-            if self.peek() is None or self.peek().category is TokenCategory.ARG_SEPARATOR:
+            if self.peek() is None or self.peek().category is ARG_SEPARATOR:
                 raise ArityMismatch(
                     f"{macro.name} expects {macro.num_params} parameter(s), got {k}"
                 )
@@ -457,7 +482,7 @@ class _Parser:
         args = []
         if macro.num_args > 0:
             tok = self.peek()
-            if tok is None or tok.category is not TokenCategory.ARG_SEPARATOR:
+            if tok is None or tok.category is not ARG_SEPARATOR:
                 raise ArityMismatch(f"{macro.name} expects '@' before its argument(s)")
             at_text = tok.text
             self.i += 1
@@ -468,7 +493,7 @@ class _Parser:
                     )
                 args.append(self.parse_item())
         return ParseNode(
-            NodeKind.MACRO_APP,
+            MACRO_APP,
             macro=macro.meaning_id,
             macro_name=macro.name,
             at_text=at_text or ("@" if macro.at_arity == AT_SINGLE else
@@ -483,7 +508,7 @@ def parse(tokens: list[Token], table: MacroTable) -> ParseNode:
     """Build a parse tree; unknown control sequences stay opaque leaves."""
     p = _Parser(tokens, table)
     items = p.parse_sequence(in_group=False)
-    return row_or_single(items) if items else ParseNode(NodeKind.ROW)
+    return row_or_single(items) if items else ParseNode(ROW)
 
 
 # --- flattening and rendering ---
@@ -500,55 +525,55 @@ def flatten_tokens(node: ParseNode) -> list[Token]:
 
 
 def _flatten(node: ParseNode, out: list[Token]) -> None:
-    if node.kind is NodeKind.LEAF:
+    if node.kind is LEAF:
         if node.token is not None:
             out.append(node.token)
-    elif node.kind is NodeKind.ROW:
+    elif node.kind is ROW:
         for c in node.children:
             _flatten(c, out)
-    elif node.kind is NodeKind.GROUP:
+    elif node.kind is GROUP:
         if node.paren:
-            out.append(_synth("(", TokenCategory.OTHER))
+            out.append(_synth("(", OTHER))
             for c in node.children:
                 _flatten(c, out)
-            out.append(_synth(")", TokenCategory.OTHER))
+            out.append(_synth(")", OTHER))
         else:
-            out.append(_synth("{", TokenCategory.GROUP_OPEN))
+            out.append(_synth("{", GROUP_OPEN))
             for c in node.children:
                 _flatten(c, out)
-            out.append(_synth("}", TokenCategory.GROUP_CLOSE))
-    elif node.kind is NodeKind.SUB_SUP:
+            out.append(_synth("}", GROUP_CLOSE))
+    elif node.kind is SUB_SUP:
         if node.base is not None:
             _flatten(node.base, out)
         if node.sub is not None:
-            out.append(_synth("_", TokenCategory.SUBSCRIPT))
+            out.append(_synth("_", SUBSCRIPT))
             _flatten(node.sub, out)
         if node.sup is not None:
-            out.append(_synth("^", TokenCategory.SUPERSCRIPT))
+            out.append(_synth("^", SUPERSCRIPT))
             _flatten(node.sup, out)
-    elif node.kind is NodeKind.MACRO_APP:
-        out.append(_synth(node.macro_name or "", TokenCategory.CONTROL_SEQUENCE))
+    elif node.kind is MACRO_APP:
+        out.append(_synth(node.macro_name or "", CONTROL_SEQUENCE))
         for p in node.optional_params:
-            out.append(_synth("[", TokenCategory.OTHER))
+            out.append(_synth("[", OTHER))
             for c in p.children:
                 _flatten(c, out)
-            out.append(_synth("]", TokenCategory.OTHER))
+            out.append(_synth("]", OTHER))
         for p in node.params:
             _flatten_braced(p, out)
         if node.args:
-            out.append(_synth(node.at_text or "@", TokenCategory.ARG_SEPARATOR))
+            out.append(_synth(node.at_text or "@", ARG_SEPARATOR))
             for a in node.args:
                 _flatten_braced(a, out)
 
 
 def _flatten_braced(node: ParseNode, out: list[Token]) -> None:
     # Parameters and arguments always render braced for round-trip stability.
-    if node.kind is NodeKind.GROUP and not node.paren:
+    if node.kind is GROUP and not node.paren:
         _flatten(node, out)
     else:
-        out.append(_synth("{", TokenCategory.GROUP_OPEN))
+        out.append(_synth("{", GROUP_OPEN))
         _flatten(node, out)
-        out.append(_synth("}", TokenCategory.GROUP_CLOSE))
+        out.append(_synth("}", GROUP_CLOSE))
 
 
 def render(node: ParseNode) -> str:

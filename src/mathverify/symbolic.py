@@ -48,6 +48,7 @@ from .ir import (
     Pow,
     Relation,
     Var,
+    frozen,
 )
 from .normform import (
     BESSEL_FAMILIES,
@@ -87,7 +88,7 @@ CLASS_UNSIMPLIFIED = "unsimplified"
 CLASS_ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RewriteRule:
     pattern: Expr
     replacement: Expr

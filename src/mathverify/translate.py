@@ -10,7 +10,6 @@ unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,14 +29,23 @@ from .ir import (
     Number,
     Relation,
     Var,
+    frozen,
 )
 from .numeric import NUMERIC_FUNCTIONS
 from .parser import (
+    COMMA,
+    CONTROL_SEQUENCE,
+    DIGIT,
+    GROUP,
+    LEAF,
+    MACRO_APP,
+    OPERATOR,
+    RELATION,
     RELATION_SPELLINGS,
-    NodeKind,
+    ROW,
+    SUB_SUP,
     ParseNode,
     Token,
-    TokenCategory,
     variable_name,
 )
 
@@ -63,7 +71,7 @@ FUNCTION_ARITIES: dict[str, tuple[int, int]] = {
 ARG_REWRITES = ("none", "square", "complement_square")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TranslationEntry:
     meaning_id: str
     ir_id: str
@@ -146,12 +154,12 @@ class _Translator:
     # --- leaves ---
 
     def leaf(self, token: Token) -> Expr:
-        if token.category is TokenCategory.DIGIT:
+        if token.category is DIGIT:
             return Number(Fraction(token.text))
         name = variable_name(token)
         if name is not None:
             return Var(name)
-        if token.category is TokenCategory.CONTROL_SEQUENCE:
+        if token.category is CONTROL_SEQUENCE:
             if token.text == "\\infty":
                 return Const(ir.INFINITY)
             raise UnknownMacro(f"no known translation for {token.text!r}")
@@ -168,9 +176,9 @@ class _Translator:
 
     def _is_op(self, node: ParseNode, *texts: str) -> bool:
         return (
-            node.kind is NodeKind.LEAF
+            node.kind is LEAF
             and node.token is not None
-            and node.token.category in (TokenCategory.OPERATOR, TokenCategory.RELATION)
+            and node.token.category in (OPERATOR, RELATION)
             and node.token.text in texts
         )
 
@@ -203,11 +211,11 @@ class _Translator:
                 continue
             if self._is_op(node, "\\pm", "\\mp"):
                 raise UnsupportedGrammar("unresolved plus-minus sign")
-            if node.kind is NodeKind.LEAF and node.token is not None and \
-                    node.token.category is TokenCategory.RELATION:
+            if node.kind is LEAF and node.token is not None and \
+                    node.token.category is RELATION:
                 raise UnsupportedGrammar("nested relation")
-            if node.kind is NodeKind.LEAF and node.token is not None and \
-                    node.token.category is TokenCategory.COMMA:
+            if node.kind is LEAF and node.token is not None and \
+                    node.token.category is COMMA:
                 raise UnsupportedGrammar("comma outside an argument list")
             current.append(node)
         flush()
@@ -239,13 +247,13 @@ class _Translator:
     # --- structured nodes ---
 
     def node(self, node: ParseNode) -> Expr:
-        if node.kind is NodeKind.LEAF:
+        if node.kind is LEAF:
             return self.leaf(node.token)
-        if node.kind is NodeKind.GROUP or node.kind is NodeKind.ROW:
+        if node.kind is GROUP or node.kind is ROW:
             return self.row(node.children)
-        if node.kind is NodeKind.SUB_SUP:
+        if node.kind is SUB_SUP:
             return self.sub_sup(node)
-        if node.kind is NodeKind.MACRO_APP:
+        if node.kind is MACRO_APP:
             return self.macro_app(node)
         raise UnsupportedGrammar(f"cannot translate node kind {node.kind}")
 
@@ -268,7 +276,7 @@ class _Translator:
     @staticmethod
     def _is_prime(node: ParseNode) -> bool:
         return (
-            node.kind is NodeKind.LEAF
+            node.kind is LEAF
             and node.token is not None
             and node.token.text == "'"
         )
@@ -284,11 +292,11 @@ class _Translator:
         return Var(f"{base_expr.name}_{text}")
 
     def _plain_text(self, node: ParseNode) -> Optional[str]:
-        if node.kind is NodeKind.LEAF and node.token is not None:
-            if node.token.category is TokenCategory.DIGIT:
+        if node.kind is LEAF and node.token is not None:
+            if node.token.category is DIGIT:
                 return node.token.text
             return variable_name(node.token)
-        if node.kind in (NodeKind.GROUP, NodeKind.ROW):
+        if node.kind in (GROUP, ROW):
             parts = [self._plain_text(c) for c in node.children]
             if all(p is not None for p in parts):
                 return "".join(parts)  # type: ignore[arg-type]
@@ -296,12 +304,12 @@ class _Translator:
 
     def _comma_list(self, node: ParseNode) -> list[Expr]:
         """Split a group on top-level commas; an empty group is an empty list."""
-        if node.kind not in (NodeKind.GROUP, NodeKind.ROW):
+        if node.kind not in (GROUP, ROW):
             return [self.node(node)]
         chunks: list[list[ParseNode]] = [[]]
         for child in node.children:
-            if child.kind is NodeKind.LEAF and child.token is not None and \
-                    child.token.category is TokenCategory.COMMA:
+            if child.kind is LEAF and child.token is not None and \
+                    child.token.category is COMMA:
                 chunks.append([])
             else:
                 chunks[-1].append(child)
@@ -418,11 +426,11 @@ class _Translator:
 
 
 def _split_relation_items(tree: ParseNode) -> tuple[str, list[ParseNode], list[ParseNode]]:
-    items = list(tree.children) if tree.kind is NodeKind.ROW else [tree]
+    items = list(tree.children) if tree.kind is ROW else [tree]
     rel_positions = [
         (i, RELATION_SPELLINGS[n.token.text])
         for i, n in enumerate(items)
-        if n.kind is NodeKind.LEAF and n.token is not None
+        if n.kind is LEAF and n.token is not None
         and n.token.text in RELATION_SPELLINGS
     ]
     if not rel_positions:
@@ -442,5 +450,5 @@ def to_relation(tree: ParseNode, table: TranslationTable) -> Relation:
 
 def to_expr(tree: ParseNode, table: TranslationTable) -> Expr:
     """Translate a relation-free parse tree (used for rule files)."""
-    items = list(tree.children) if tree.kind is NodeKind.ROW else [tree]
+    items = list(tree.children) if tree.kind is ROW else [tree]
     return _Translator(table).row(items)

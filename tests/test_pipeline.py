@@ -187,16 +187,31 @@ def test_clean_corpus_has_no_flags(tmp_path):
 @pytest.mark.parametrize("run_symbolic", [True, False])
 def test_zero_to_a_complex_power_is_evaluated(tables, run_symbolic):
     # 0^z = 0 whenever the real part of z is positive, so the formula's one
-    # assignment is evaluated, not skipped as a pole.
+    # assignment is evaluated, not skipped as a pole.  The symbolic stage
+    # proves it zero, so the numeric stage runs on it only without that stage.
     options = PipelineOptions(run_symbolic=run_symbolic)
     out = verify_record(FormulaRecord("EF.902", "EF", r"0^{2+\iunit} = 0"),
-                        tables, options)
+                        tables, PipelineOptions(run_symbolic=False))
     assert out.numeric.classification == "verified"
     assert [(ev.lhs, ev.rhs) for ev in out.numeric.evaluations] == [(0j, 0j)]
     out = verify_record(FormulaRecord("EF.903", "EF", r"0^{\iunit} = 0"),
                         tables, options)
     assert out.numeric.classification == "no_valid_values"
     assert out.numeric.skipped == [{}]
+
+
+@pytest.mark.parametrize("latex, classification", [
+    (r"0^{2+\iunit} = 0", "zero"),
+    (r"0^{\frac{2+\iunit}{2}} = 0", "zero"),
+    (r"0^{\iunit} = 0", "error"),
+    (r"0^{-1+\iunit} = 0", "error"),
+])
+def test_zero_to_a_complex_power_is_zero_when_its_real_part_is_positive(
+        tables, latex, classification):
+    # The principal value of 0^(a + b i) is 0 for rational a > 0, the value
+    # the numeric stage verifies; otherwise it is a pole.
+    out = verify_record(FormulaRecord("EF.904", "EF", latex), tables, PipelineOptions())
+    assert out.symbolic.classification == classification
 
 
 @pytest.mark.parametrize("latex", [
@@ -304,8 +319,11 @@ def test_tables_pickle_round_trip(tables, mini_corpus):
     assert copy.blueprints == tables.blueprints
     assert copy.rewrite_rules == tables.rewrite_rules
     options = PipelineOptions()
-    assert [verify_record(r, copy, options) for r in mini_corpus[:5]] == \
-        [verify_record(r, tables, options) for r in mini_corpus[:5]]
+    # A spawned --jobs worker verifies with unpickled tables like these.
+    copied = [verify_record(r, copy, options) for r in mini_corpus[:5]]
+    direct = [verify_record(r, tables, options) for r in mini_corpus[:5]]
+    assert copied == direct
+    assert [o.to_json() for o in copied] == [o.to_json() for o in direct]
 
 
 def test_parallel_jobs_use_the_callers_tables(report):

@@ -98,7 +98,8 @@ class VariableDomain:
 
 @frozen
 class SpecialValueAssignment:
-    assignments: dict[str, Fraction]
+    # (variable, value) pairs sorted by variable, one per variable.
+    assignments: tuple[tuple[str, Fraction], ...]
     source_blueprint: str
 
 
@@ -188,7 +189,7 @@ def match_constraint(
         assignments = {
             binding[ph]: value for ph, value in zip(bp.placeholders, bp.values)
         }
-        return SpecialValueAssignment(assignments, bp.source)
+        return SpecialValueAssignment(tuple(sorted(assignments.items())), bp.source)
     return None
 
 
@@ -616,5 +617,6 @@ def interpret_constraints(
                 result.conflicts.append(
                     f"{name}={value} conflicts with interpreted domain"
                 )
-        result.specials = SpecialValueAssignment(special_values, ";".join(sources))
+        result.specials = SpecialValueAssignment(tuple(sorted(special_values.items())),
+                                                 ";".join(sources))
     return result

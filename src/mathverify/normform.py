@@ -22,7 +22,9 @@ equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
 
 A `NormContext` counts steps against a budget and carries the variable
-domains under which a power of a product splits (`_norm_pow`).  Given a
+domains under which a power of a product splits (`_norm_pow`).  It is
+the one step counter of a `symbolic.simplify` candidate: the rewrite
+rules, the Bessel pass and `norm` all tick it.  Given a
 `NormMemo`, the contexts of one formula's candidates, which carry the
 same domains, share the normal forms of the subtrees they have in
 common, and each reuse is charged the steps that normalizing it afresh
@@ -68,6 +70,7 @@ Poly = dict[Mono, Rat]  # nonzero Rat coefficients
 EMPTY_MONO: Mono = ()
 
 T = TypeVar("T")
+K = TypeVar("K")
 
 
 def _q(x: Rat) -> Rat:
@@ -98,15 +101,16 @@ class NormMemo:
     keeps its own ticks (those spent outside nested `canon` computations)
     and the closure of the `canon` keys its computation touched, so that
     a context reusing it can charge what computing it afresh would cost
-    (`NormContext.charge`).  ``computed`` holds other computations whose
-    steps count in a context the same way (`NormContext.reuse`): the
-    Bessel pass's replacement maps, keyed by the tuple of Bessel nodes
-    they were computed from.
+    (`NormContext.charge`).  Two tables hold other computations whose
+    steps count in a context the same way, as (value, own ticks, canon
+    closure) entries that `NormContext.reuse` fills and charges:
+    ``computed`` holds the Bessel pass's replacement maps, keyed by the
+    tuple of Bessel nodes they were computed from, and ``rewrites`` the
+    rewriter's result per node, None where no rule fired in it.
 
-    The passes before `norm` keep their per-node results here too:
-    ``derivatives`` (`calculus.resolve_derivatives`), ``rewrites`` (the
-    rewritten node and the rule steps it took) and ``bessel_nodes`` (the
-    Bessel-family nodes below a node, in pre-order).  Every entry is
+    The passes before `norm` keep their other per-node results here too:
+    ``derivatives`` (`calculus.resolve_derivatives`) and ``bessel_nodes``
+    (the Bessel-family nodes below a node, in pre-order).  Every entry is
     keyed by node, so a candidate's root is always computed afresh, and
     holds for the one set of domains and rewrite rules the memo serves.
     Nothing in it depends on a step budget or on the order in which
@@ -122,10 +126,10 @@ class NormMemo:
         self.canons: dict[Expr, tuple] = {}
         # key -> (value, own ticks, canon closure)
         self.computed: dict[object, tuple] = {}
+        # node -> (rewritten node or None, own ticks, canon closure)
+        self.rewrites: dict[Expr, tuple] = {}
         # node -> node with its derivatives resolved
         self.derivatives: dict[Expr, Expr] = {}
-        # node -> (rewritten node, rule steps)
-        self.rewrites: dict[Expr, tuple[Expr, int]] = {}
         # node -> the Bessel-family nodes in it, in pre-order
         self.bessel_nodes: dict[Expr, tuple[Expr, ...]] = {}
 
@@ -134,13 +138,13 @@ _NO_KEYS: frozenset = frozenset()
 
 
 class NormContext:
-    """Step budget and memoization shared across one normalization.
+    """Step budget and memoization shared across one candidate.
 
-    ``steps`` counts one tick per normalized node, polynomial term
-    product and folded monomial.  `canon` is memoized per context, so a
-    context counts each `canon` key's computation once: the set of keys it
-    has charged is closed downward (with a key, every key its computation
-    touched).  Without a memo that is all that is reused.  With a
+    ``steps`` counts one tick per rule firing, normalized node,
+    polynomial term product and folded monomial.  `canon` is memoized per
+    context, so a context counts each `canon` key's computation once: the
+    set of keys it has charged is closed downward (with a key, every key
+    its computation touched).  Without a memo that is all that is reused.  With a
     `NormMemo`, `_norm`, `canon` and `reuse` results computed by earlier
     contexts are reused too, and each reuse is charged what a fresh
     computation would count here (`charge`), so ``steps`` and the point
@@ -189,15 +193,13 @@ class NormContext:
         for k in new:
             charged[k] = canons[k][0]
 
-    def reuse(self, key, compute: Callable[[], T]) -> T:
-        """``compute()``, shared under ``key`` through the memo's
-        ``computed`` table when the context has a memo, and charged on
-        reuse what computing it here would count (`charge`)."""
-        memo = self.memo
-        if memo is None:
-            return compute()
+    def reuse(self, table: dict, key: K, compute: Callable[[K, NormContext], T]) -> T:
+        """``compute(key, self)``, stored in ``table`` under ``key`` with
+        its own ticks and canon closure, and charged on reuse what
+        computing it here would count (`charge`).  ``table`` is one of
+        the memo's, or, without a memo, a table of the caller's own."""
         touched = self._touched
-        hit = memo.computed.get(key)
+        hit = table.get(key)
         if hit is not None:
             value, own, keys = hit
             self.charge(own, keys)
@@ -206,9 +208,9 @@ class NormContext:
             return value
         start = len(touched)
         steps, canon_ticks = self.steps, self._canon_ticks
-        value = compute()
+        value = compute(key, self)
         own = self.steps - steps - (self._canon_ticks - canon_ticks)
-        memo.computed[key] = (value, own, _close(touched, start))
+        table[key] = (value, own, _close(touched, start))
         return value
 
 

@@ -440,7 +440,7 @@ def generate_assignments(
     interpreted domains.  Closed formulae get the single empty assignment."""
     if not variables:
         return [{}]
-    special_values = specials.assignments if specials is not None else {}
+    special_values = dict(specials.assignments) if specials is not None else {}
     # Blueprint-assigned variables keep their special value even when an
     # interpreted domain disagrees (the conflict is logged upstream).
     filter_domains = [d for d in domains if d.var not in special_values]

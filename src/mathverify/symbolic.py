@@ -293,33 +293,25 @@ def _rule_index(rules: Sequence[RewriteRule]) -> dict:
 
 
 class _Rewriter:
-    """Bottom-up rewriting to a fixpoint per node.  `rewrite` hands back
-    its input itself wherever no rule fired in it: a subtree whose
-    `ir.heads` miss every pattern head is not even visited, unless a bare
-    placeholder rule, which matches any node, is in the table.  ``done``
-    maps each node rewritten so far, in this call or (through a
-    `NormMemo`) in earlier calls with the same rules and domains, to its
-    result and the steps that took; a node found there costs those steps
-    again, and the budget holds as if it had been rewritten anew."""
+    """Bottom-up rewriting to a fixpoint per node on a candidate's
+    context: a rule firing is one `NormContext.tick`, and the conditions
+    read the context's domains.  `rewrite` hands back its input itself
+    wherever no rule fired in it: a subtree whose `ir.heads` miss every
+    pattern head is not even visited, unless a bare placeholder rule,
+    which matches any node, is in the table.  ``done`` holds each node
+    rewritten so far, in this call or (through the context's `NormMemo`)
+    in earlier calls with the same rules and domains, in the form
+    `NormContext.reuse` keeps and charges, None where no rule fired."""
 
-    def __init__(self, rules: Sequence[RewriteRule],
-                 domains: Sequence[VariableDomain], budget: int,
-                 done: Optional[dict[Expr, tuple[Expr, int]]] = None):
+    def __init__(self, rules: Sequence[RewriteRule], ctx: NormContext):
         self.index = _rule_index(rules)
         # None when a bare placeholder rule can fire at any node.
         self.pattern_heads = None if self.index[None] else self.index.keys() - {None}
-        self.domains = domains
-        self.budget = budget
-        self.steps = 0
-        self.done = {} if done is None else done
-
-    def _tick(self, steps: int = 1):
-        self.steps += steps
-        if self.steps > self.budget:
-            raise BudgetExceeded("rewrite budget exhausted")
+        self.ctx = ctx
+        self.done = {} if ctx.memo is None else ctx.memo.rewrites
 
     def _try_rules(self, expr: Expr) -> Optional[Expr]:
-        index = self.index
+        index, ctx = self.index, self.ctx
         for rule in index.get(ir.head(expr), index[None]):
             binding: dict[str, Expr] = {}
             if not match_pattern(rule.pattern, expr, binding):
@@ -327,11 +319,11 @@ class _Rewriter:
             ok = True
             for name, kind, value in rule.conditions:
                 bound = binding.get(name)
-                if bound is None or not _condition_holds(kind, value, bound, self.domains):
+                if bound is None or not _condition_holds(kind, value, bound, ctx.domains):
                     ok = False
                     break
             if ok:
-                self._tick()
+                ctx.tick()
                 return ir.substitute(rule.replacement, binding)
         return None
 
@@ -339,35 +331,30 @@ class _Rewriter:
         if self.pattern_heads is not None \
                 and self.pattern_heads.isdisjoint(ir.heads(expr)):
             return expr
-        hit = self.done.get(expr)
-        if hit is not None:
-            out, steps = hit
-            if not steps:
-                return expr  # no rule fired in it, so ``out`` equals it
-            self._tick(steps)
-            return out
-        start = self.steps
+        out = self.ctx.reuse(self.done, expr, self._rewrite_node)
+        return expr if out is None else out
+
+    def _rewrite_node(self, expr: Expr, ctx: NormContext) -> Optional[Expr]:
         rebuilt = ir.map_children(expr, self.rewrite)
         for _ in range(32):
             replaced = self._try_rules(rebuilt)
             if replaced is None:
                 break
             rebuilt = ir.map_children(replaced, self.rewrite)
-        self.done[expr] = (rebuilt, self.steps - start)
-        return rebuilt
+        return None if rebuilt is expr else rebuilt
 
 
 def apply_rules(expr: Expr, rules: Sequence[RewriteRule],
-                domains: Sequence[VariableDomain] = (),
-                budget: int = 10_000,
-                memo: Optional[NormMemo] = None) -> tuple[Expr, int]:
-    """``expr`` rewritten by ``rules`` under ``domains``, and the number
-    of rule firings that took.  ``memo`` shares rewritten subtrees with
-    earlier calls on the candidates of the same formula, which must pass
-    the same rules and domains."""
-    rw = _Rewriter(rules, domains, budget, None if memo is None else memo.rewrites)
-    out = rw.rewrite(expr)
-    return out, rw.steps
+                ctx: Optional[NormContext] = None) -> tuple[Expr, int]:
+    """``expr`` rewritten by ``rules`` under the domains of ``ctx`` (by
+    default a fresh context without domains), and the steps that added to
+    it, one per rule firing.  The context's memo shares rewritten
+    subtrees with earlier calls on the candidates of the same formula,
+    which must pass the same rules."""
+    ctx = ctx or NormContext()
+    steps = ctx.steps
+    out = _Rewriter(rules, ctx).rewrite(expr)
+    return out, ctx.steps - steps
 
 
 # --- expansion and conversion preprocessors ---
@@ -631,7 +618,8 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
     memo = ctx.memo
     nodes = tuple(dict.fromkeys(
         _bessel_nodes(expr, {} if memo is None else memo.bessel_nodes)))
-    replacements = ctx.reuse(nodes, lambda: _order_replacements(nodes, ctx))
+    replacements = ctx.reuse({} if memo is None else memo.computed, nodes,
+                             _order_replacements)
     if not replacements:
         return expr
 
@@ -655,8 +643,6 @@ def _classify(rf: RatForm, target: str, steps: int) -> SymbolicOutcome:
         return SymbolicOutcome(CLASS_ONE, steps_used=steps)
     value = constant_value(rf)
     if value is not None:
-        if value == 1 and target in (MODE_QUOTIENT, MODE_BOTH):
-            return SymbolicOutcome(CLASS_ONE, steps_used=steps)
         return SymbolicOutcome(CLASS_OTHER_NUMERIC, value=value, steps_used=steps)
     return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps)
 
@@ -669,34 +655,35 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
     element is the normal form (`normform.emit` turns it into IR), or
     None when normalization stopped.
 
+    The passes count on one `NormContext`: the rewrite rules may take a
+    tenth of ``rewrite_step_budget`` (at least one step), and the Bessel
+    pass and `norm` the whole budget after them.  ``steps_used`` is every
+    step the candidate took, also when it ran out or raised.
+
     ``memo`` shares what the passes compute (derivatives resolved, rules
     applied, Bessel orders reduced, normal forms) with earlier calls on
     the candidates of the same formula, under the same assumptions and
     rules; ``steps_used`` counts what a fresh run would, whatever the
     memo reused."""
     config = config or SimplifyConfig()
-    ctx = NormContext(budget=config.rewrite_step_budget, memo=memo,
+    budget = config.rewrite_step_budget
+    ctx = NormContext(budget=max(1, budget // 10), memo=memo,
                       domains=config.assumptions)
-    rule_budget = max(1, config.rewrite_step_budget // 10)
-    rule_steps = None  # set once the rule stage has finished
     try:
         e = resolve_derivatives(expr, None if memo is None else memo.derivatives)
-        e, rule_steps = apply_rules(
-            e, config.rules, config.assumptions, budget=rule_budget, memo=memo,
-        )
+        e, _ = apply_rules(e, config.rules, ctx)
+        ctx.budget = ctx.steps + budget
         e = reduce_bessel_orders(e, ctx)
         rf = norm(e, ctx)
     except BudgetExceeded:
-        # The rewriter raises on the step one past its budget.
-        steps = rule_budget + 1 if rule_steps is None else ctx.steps
-        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=steps), None
+        return SymbolicOutcome(CLASS_UNSIMPLIFIED, steps_used=ctx.steps), None
     except SymbolicError as exc:
         return (
             SymbolicOutcome(CLASS_ERROR, error_kind=type(exc).__name__,
                             steps_used=ctx.steps),
             None,
         )
-    return _classify(rf, config.mode, rule_steps + ctx.steps), rf
+    return _classify(rf, config.mode, ctx.steps), rf
 
 
 def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,

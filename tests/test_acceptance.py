@@ -80,10 +80,10 @@ def test_blueprint_fidelity():
         return parse(tokenize(text), table)
 
     alpha = match_constraint(ptree(r"0 < \alpha < 1"), rules)
-    assert alpha is not None and alpha.assignments == {"alpha": Fraction(1, 2)}
+    assert alpha is not None and alpha.assignments == (("alpha", Fraction(1, 2)),)
     xy = match_constraint(ptree(r"x, y \in \Real"), rules)
-    assert xy is not None and xy.assignments == {
-        "x": Fraction(3, 2), "y": Fraction(3, 2)}
+    assert xy is not None and xy.assignments == (
+        ("x", Fraction(3, 2)), ("y", Fraction(3, 2)))
     assert match_constraint(ptree("0 < x < 2"), rules) is None
     assert time.monotonic() - start < 1.0
     _ok("blueprint fidelity (the two quoted rules, exact)")

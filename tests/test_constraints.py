@@ -75,13 +75,24 @@ def test_match_greek_variable():
     bps = parse_blueprint_rules(TWO_QUOTED_RULES)
     matched = match_constraint(ptree(r"0 < \alpha < 1"), bps)
     assert matched is not None
-    assert matched.assignments == {"alpha": Fraction(1, 2)}
+    assert matched.assignments == (("alpha", Fraction(1, 2)),)
 
 
 def test_match_two_variables():
     bps = parse_blueprint_rules(TWO_QUOTED_RULES)
     matched = match_constraint(ptree(r"x, y \in \Real"), bps)
-    assert matched.assignments == {"x": Fraction(3, 2), "y": Fraction(3, 2)}
+    assert matched.assignments == (("x", Fraction(3, 2)), ("y", Fraction(3, 2)))
+
+
+def test_equal_special_value_assignments_hash_equal():
+    # The pairs are sorted by variable, in whatever order the constraint
+    # names them, so the two records are one value.
+    bps = parse_blueprint_rules(TWO_QUOTED_RULES)
+    first = match_constraint(ptree(r"x, y \in \Real"), bps)
+    second = match_constraint(ptree(r"y, x \in \Real"), bps)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
 
 
 def test_literal_token_mismatch():
@@ -92,7 +103,7 @@ def test_literal_token_mismatch():
 def test_first_match_wins():
     bps = parse_blueprint_rules("var > 0 ==> 1/2\nvar > 0 ==> 7/2")
     matched = match_constraint(ptree("z > 0"), bps)
-    assert matched.assignments == {"z": Fraction(1, 2)}
+    assert matched.assignments == (("z", Fraction(1, 2)),)
 
 
 GREEK = ["alpha", "beta", "nu", "theta", "omega", "Gamma"]
@@ -107,7 +118,7 @@ def test_match_invariant_under_renaming(name):
     text = name if name in LATIN else "\\" + name
     matched = match_constraint(ptree(f"0 < {text} < 1"), bps)
     assert matched is not None
-    assert matched.assignments == {name: Fraction(1, 2)}
+    assert matched.assignments == ((name, Fraction(1, 2)),)
 
 
 # --- set notation ---
@@ -415,7 +426,7 @@ def test_interpret_constraints_combines_sources(tables):
     interp = interpret_constraints(
         ["0 < x < 1", r"n=0,1,2,\dots"], tables.blueprints, tables.macro_table)
     assert interp.specials is not None
-    assert interp.specials.assignments["x"] == Fraction(1, 2)
+    assert dict(interp.specials.assignments)["x"] == Fraction(1, 2)
     assert any(d.var == "n" and d.progression for d in interp.domains)
     assert interp.unmatched == []
 

@@ -87,7 +87,7 @@ SAMPLES = {
     _Env: ("equation", "x = 1", 4),
     VariableDomain: ("x", BASE_REAL, (Fraction(0), True, None, False), None, None,
                      (Fraction(1),)),
-    SpecialValueAssignment: ({"x": Fraction(1)}, "x = 1"),
+    SpecialValueAssignment: ((("x", Fraction(1)),), "x = 1"),
     ConstraintBlueprint: (_GROUP, (_TOKEN,), ("var1",), (Fraction(1),), "var1 = 1"),
     RewriteRule: (Var("var1"), Var("var1"), (("var1", "ge", Fraction(0)),), "r"),
     TranslationEntry: ("sin", "sin", "sin", True, "none", "notes"),

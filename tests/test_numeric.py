@@ -390,7 +390,7 @@ def test_default_assignments_cartesian():
 
 
 def test_blueprint_value_overrides():
-    specials = SpecialValueAssignment({"x": Fraction(1, 2)}, "0 < var < 1 ==> 1/2")
+    specials = SpecialValueAssignment((("x", Fraction(1, 2)),), "0 < var < 1 ==> 1/2")
     out = generate_assignments({"x"}, [], specials, CONFIG)
     assert out == [{"x": Fraction(1, 2)}]
 
@@ -414,7 +414,7 @@ def test_closed_formula_single_empty_assignment():
 
 
 def test_blueprint_value_wins_over_conflicting_domain():
-    specials = SpecialValueAssignment({"x": Fraction(1, 2)}, "rule")
+    specials = SpecialValueAssignment((("x", Fraction(1, 2)),), "rule")
     domain = VariableDomain("x", "real",
                             interval=(Fraction(2), False, None, False))
     out = generate_assignments({"x"}, [domain], specials, CONFIG)

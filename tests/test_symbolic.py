@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from mathverify import ir, symbolic
 from mathverify.constraints import VariableDomain
-from mathverify.errors import BudgetExceeded, NonEquationRelation, SymbolicError
+from mathverify.errors import (
+    BudgetExceeded,
+    MalformedRule,
+    NonEquationRelation,
+    SymbolicError,
+)
 from mathverify.ir import Const, FunctionApp, Var, free_variables
 from mathverify.normform import NormContext, NormMemo
 from mathverify.numeric import NumericConfig, eval_expr
@@ -196,14 +201,15 @@ def test_simplify_budget_exhaustion_is_unsimplified(tables):
 
 @pytest.mark.parametrize("latex, budget, steps", [
     # The rewrite rules get a tenth of the budget, at least one step; the
-    # rewriter raises on the step past it.
+    # context raises on the step past it.
     (r"\tan@{x}\cot@{x} = 1", 1, 2),
     (r"\tan@{x}\cot@{x} = 1", 5, 2),
     (r"\tan@{x}\cot@{x} = 1", 19, 2),
     (r"\tan@{x}\cot@{x} + \tan@{y}\cot@{y} + \tan@{z}\cot@{z} = 3", 30, 4),
     (r"\tan@{x}\cot@{x} + \tan@{y}\cot@{y} + \tan@{z}\cot@{z} = 3", 59, 6),
-    # The rules finish and normalization runs out.
-    (r"\tan@{x}\cot@{x} = 1", 20, 21),
+    # The rules finish after 2 steps, and normalization runs out on the
+    # step past the budget it gets after them: 2 + 21.
+    (r"\tan@{x}\cot@{x} = 1", 20, 23),
 ])
 def test_rule_stage_exhaustion_reports_the_rewriters_steps(tables, latex, budget, steps):
     config = default_config(tables, mode=MODE_DIFFERENCE, preprocessors=(PRE_NONE,),
@@ -213,6 +219,21 @@ def test_rule_stage_exhaustion_reports_the_rewriters_steps(tables, latex, budget
     assert (out.classification, out.steps_used) == (CLASS_UNSIMPLIFIED, steps)
     out, _ = simplify(ir.sub(rel.lhs, rel.rhs), config)
     assert (out.classification, out.steps_used) == (CLASS_UNSIMPLIFIED, steps)
+
+
+def test_error_exit_counts_the_rule_steps(tables):
+    # Three rule steps (tan and cot to sin and cos, sin^2 to 1 - cos^2),
+    # then normalization meets the zero denominator after 76 more.
+    rel = tr(r"\tan@{x}\cot@{x} = \frac{1}{\sin@{x}^2+\cos@{x}^2-1}", tables)
+    config = default_config(tables, mode=MODE_DIFFERENCE, preprocessors=(PRE_NONE,))
+    expected = (CLASS_ERROR, "_ZeroDenominator", 79)
+    out = verify_symbolic(rel, (), config)
+    assert (out.classification, out.error_kind, out.steps_used) == expected
+    out, rf = simplify(ir.sub(rel.lhs, rel.rhs), config)
+    assert (out.classification, out.error_kind, out.steps_used) == expected
+    assert rf is None
+    _, rule_steps = symbolic.apply_rules(ir.sub(rel.lhs, rel.rhs), tables.rewrite_rules)
+    assert rule_steps == 3
 
 
 def test_expansion_gets_the_configured_budget(tables, monkeypatch):
@@ -335,7 +356,7 @@ def test_condition_kinds_as_sign_answers_them(tables, head, argument, constraint
     interp = interpret_constraints(constraints, (), tables.macro_table)
     assert not interp.unmatched
     expr = tx(f"{head}@{{{argument}}}", tables)
-    _, steps = symbolic.apply_rules(expr, rules, interp.domains)
+    _, steps = symbolic.apply_rules(expr, rules, NormContext(domains=interp.domains))
     assert steps == (1 if fires else 0)
 
 
@@ -479,14 +500,15 @@ def test_each_candidate_calls_the_traced_passes_once(tables, mini_corpus, monkey
     # The benchmark's trace rebinds these module globals; with the
     # formula's memo shared, each simplify call must still go through each
     # of them once, or a traced layer would read 0 ms.
-    calls = {name: [] for name in ("simplify", "apply_rules", "reduce_bessel_orders",
-                                   "norm")}
+    # The position of the memo (simplify) or the context (the passes).
+    positions = {"simplify": 2, "apply_rules": 2, "reduce_bessel_orders": 1, "norm": 1}
+    calls = {name: [] for name in positions}
 
     def counting(name):
         real = getattr(symbolic, name)
 
         def counted(*args, **kwargs):
-            calls[name].append(kwargs.get("memo", args[2] if name == "simplify" else None))
+            calls[name].append(args[positions[name]])
             return real(*args, **kwargs)
         return counted
 
@@ -498,8 +520,13 @@ def test_each_candidate_calls_the_traced_passes_once(tables, mini_corpus, monkey
     assert len(calls["simplify"]) > 90
     assert len(calls["apply_rules"]) == len(calls["reduce_bessel_orders"]) == \
         len(calls["norm"]) == len(calls["simplify"])
-    # Every call shares its formula's memo with the rule stage.
-    assert calls["apply_rules"] == calls["simplify"]
+    # Each candidate counts its steps on one context of its own, which
+    # the three passes share and which carries the formula's memo.
+    contexts = calls["apply_rules"]
+    assert all(isinstance(ctx, NormContext) for ctx in contexts)
+    assert len({id(ctx) for ctx in contexts}) == len(contexts)
+    assert calls["reduce_bessel_orders"] == calls["norm"] == contexts
+    assert [ctx.memo for ctx in contexts] == calls["simplify"]
     assert all(isinstance(memo, NormMemo) for memo in calls["simplify"])
 
 
@@ -636,6 +663,12 @@ def _linear_apply_rules(expr, rules, domains=(), budget=10_000):
     return rewrite(expr), steps
 
 
+def _apply_rules(expr, rules, domains=(), budget=10_000):
+    """`symbolic.apply_rules` on a fresh context with ``budget`` and
+    ``domains``, called as `_linear_apply_rules` is."""
+    return symbolic.apply_rules(expr, rules, NormContext(budget=budget, domains=domains))
+
+
 def _rewritten(apply, expr, rules, domains=(), budget=10_000):
     try:
         return apply(expr, rules, domains, budget)
@@ -682,9 +715,9 @@ def test_rule_index_matches_linear_scan_on_corpus_candidates(tables, mini_corpus
     seen = []
     real_apply = symbolic.apply_rules
 
-    def recording_apply(expr, rules, domains=(), budget=10_000, memo=None):
-        seen.append((expr, tuple(domains), budget))
-        return real_apply(expr, rules, domains, budget, memo=memo)
+    def recording_apply(expr, rules, ctx=None):
+        seen.append((expr, tuple(ctx.domains), ctx.budget))
+        return real_apply(expr, rules, ctx)
 
     monkeypatch.setattr(symbolic, "apply_rules", recording_apply)
     config = default_config(tables)
@@ -694,7 +727,7 @@ def test_rule_index_matches_linear_scan_on_corpus_candidates(tables, mini_corpus
     assert len(seen) > 90
     for rules in _rule_orders(tables):
         for expr, domains, budget in seen:
-            assert _rewritten(symbolic.apply_rules, expr, rules, domains, budget) == \
+            assert _rewritten(_apply_rules, expr, rules, domains, budget) == \
                 _rewritten(_linear_apply_rules, expr, rules, domains, budget), expr
 
 
@@ -722,7 +755,7 @@ def _rule_trees(children):
 @given(st.recursive(_rule_leaves, _rule_trees, max_leaves=10))
 def test_rule_index_matches_linear_scan_on_random_trees(tables, expr):
     for rules in _rule_orders(tables):
-        assert _rewritten(symbolic.apply_rules, expr, rules) == \
+        assert _rewritten(_apply_rules, expr, rules) == \
             _rewritten(_linear_apply_rules, expr, rules)
 
 
@@ -768,7 +801,7 @@ def test_rewriter_matches_the_reference_on_trees_from_rule_heads(
     # With a bare placeholder rule in the table no subtree may be skipped.
     rules = tables.rewrite_rules + ((_WILDCARD,) if bare_placeholder else ())
     expr = data.draw(_trees_from_rule_heads(rules))
-    got = _rewritten(symbolic.apply_rules, expr, rules, domains, budget)
+    got = _rewritten(_apply_rules, expr, rules, domains, budget)
     assert got == _rewritten(_linear_apply_rules, expr, rules, domains, budget)
     if got != "budget exceeded" and got[1] == 0:
         assert got[0] is expr
@@ -777,9 +810,9 @@ def test_rewriter_matches_the_reference_on_trees_from_rule_heads(
 def test_bare_placeholder_turns_the_subtree_skip_off(tables):
     tree = ir.add(Var("x"), ir.num(250))  # no bundled pattern head in it
     bundled = tables.rewrite_rules
-    assert symbolic._Rewriter(bundled, (), 10).pattern_heads is not None
+    assert symbolic._Rewriter(bundled, NormContext()).pattern_heads is not None
     assert symbolic.apply_rules(tree, bundled)[0] is tree
-    assert symbolic._Rewriter(bundled + (_WILDCARD,), (), 10).pattern_heads is None
+    assert symbolic._Rewriter(bundled + (_WILDCARD,), NormContext()).pattern_heads is None
     # 250 -> 150 -> 50: the bare placeholder reaches a head no pattern has.
     expected = (ir.add(Var("x"), ir.num(50)), 2)
     assert symbolic.apply_rules(tree, bundled + (_WILDCARD,)) == expected
@@ -809,7 +842,7 @@ def test_failed_condition_hands_back_the_input(tables):
     out, steps = symbolic.apply_rules(expr, tables.rewrite_rules)
     assert out is expr and steps == 0
     nonneg = (VariableDomain("x", "real", interval=(Fraction(0), False, None, False)),)
-    assert symbolic.apply_rules(expr, tables.rewrite_rules, nonneg) == \
+    assert symbolic.apply_rules(expr, tables.rewrite_rules, NormContext(domains=nonneg)) == \
         (tx(r"x + \sin@{y}", tables), 1)
 
 
@@ -906,6 +939,88 @@ def test_expand_with_the_formula_memo_matches_a_fresh_expand(tables, mini_corpus
                 assert shared == fresh, (rid, budget)
                 checked += 1
     assert checked > 300
+
+
+# --- user rule tables: the loader and the matcher's other arms ---
+
+def _user_rules(text, tables):
+    return symbolic.load_rewrite_rules(text, tables.macro_table, tables.translation_table)
+
+
+@pytest.mark.parametrize("text, message", [
+    (r"\sin@{var1}", "line 1: missing '->'"),
+    ("\\sin@{var1} -> var1\n\n# a comment\n\\frac{var1 -> var1", "line 4: 1 unclosed group"),
+    (r"\sin@{var1} -> var1 ? var1 >> 2", "line 1: bad condition 'var1 >> 2'"),
+])
+def test_malformed_user_rule_is_refused_with_its_line(tables, text, message):
+    with pytest.raises(MalformedRule, match=message):
+        _user_rules(text, tables)
+
+
+def test_user_rule_matches_under_a_negation(tables):
+    rules = _user_rules(r"-\sin@{var1} -> \sin@{-var1}", tables)
+    assert isinstance(rules[0].pattern, ir.Neg)
+    expr = tx(r"y - \sin@{x}", tables)
+    assert symbolic.apply_rules(expr, rules) == (tx(r"y + \sin@{-x}", tables), 1)
+    assert _linear_apply_rules(expr, rules) == (tx(r"y + \sin@{-x}", tables), 1)
+
+
+def test_repeated_placeholder_binds_one_subtree(tables):
+    rules = _user_rules(r"\sin@{var1}\cos@{var1} -> \frac{\sin@{2 var1}}{2}", tables)
+    same = tx(r"\sin@{x}\cos@{x}", tables)
+    assert symbolic.apply_rules(same, rules) == (tx(r"\frac{\sin@{2x}}{2}", tables), 1)
+    # sin(var1) binds x, so cos(var1) cannot take cos(y), and no other
+    # pairing of the factors matches either.
+    other = tx(r"\sin@{x}\cos@{y}", tables)
+    assert symbolic.apply_rules(other, rules) == (other, 0)
+    assert _linear_apply_rules(other, rules) == (other, 0)
+
+
+def _f(arg):
+    return FunctionApp("f", (), (arg,))
+
+
+def test_user_rule_matches_a_derivative():
+    rule = RewriteRule(ir.Derivative(_f(Var("var1")), "x", 2), Var("var1"), (),
+                       "f''(var1) -> var1")
+    square = ir.power(Var("x"), ir.num(2))
+    assert symbolic.apply_rules(ir.Derivative(_f(square), "x", 2), (rule,)) == (square, 1)
+    for other in (ir.Derivative(_f(square), "y", 2), ir.Derivative(_f(square), "x", 1),
+                  ir.Derivative(FunctionApp("g", (), (square,)), "x", 2)):
+        assert symbolic.apply_rules(other, (rule,)) == (other, 0)
+
+
+def test_user_rule_matches_a_big_operator():
+    k, n, var1 = Var("k"), Var("n"), Var("var1")
+    rule = RewriteRule(ir.BigOp(ir.OP_SUM, "k", ir.ONE, var1, k),
+                       ir.div(ir.mul(var1, ir.add(var1, ir.ONE)), ir.num(2)), (),
+                       "sum_{k=1}^{var1} k -> var1 (var1 + 1) / 2")
+    tree = ir.BigOp(ir.OP_SUM, "k", ir.ONE, n, k)
+    expected = ir.div(ir.mul(n, ir.add(n, ir.ONE)), ir.num(2))
+    assert symbolic.apply_rules(tree, (rule,)) == (expected, 1)
+    assert _linear_apply_rules(tree, (rule,)) == (expected, 1)
+    misses = [
+        ir.BigOp(ir.OP_PROD, "k", ir.ONE, n, k),  # another operator
+        ir.BigOp(ir.OP_SUM, "j", ir.ONE, n, Var("j")),  # another index
+        ir.BigOp(ir.OP_SUM, "k", None, None, k),  # no bounds
+        ir.BigOp(ir.OP_SUM, "k", ir.ZERO, n, k),  # another lower bound
+        ir.BigOp(ir.OP_SUM, "k", ir.ONE, n, ir.power(k, ir.num(2))),  # another body
+    ]
+    for other in misses:
+        assert symbolic.apply_rules(other, (rule,)) == (other, 0)
+
+
+def test_bessel_order_three_steps_above_its_base(tables):
+    # J_{nu+3} reduces through J_{nu+2} and J_{nu+1}; both recurrences
+    # need J_{nu+1}, which is built once.
+    rel = tr(r"\BesselJ{\nu+3}@{z} = \frac{2(\nu+2)}{z}(\frac{2(\nu+1)}{z}"
+             r"\BesselJ{\nu+1}@{z} - \BesselJ{\nu}@{z}) - \BesselJ{\nu+1}@{z}", tables)
+    reduced = symbolic.reduce_bessel_orders(ir.sub(rel.lhs, rel.rhs), NormContext())
+    assert {node for node in ir.walk(reduced) if symbolic._is_bessel(node)} == \
+        {tx(r"\BesselJ{\nu}@{z}", tables), tx(r"\BesselJ{\nu+1}@{z}", tables)}
+    out = verify_symbolic(rel, (), default_config(tables, mode=MODE_DIFFERENCE,
+                                                  preprocessors=(PRE_NONE,)))
+    assert out.classification == CLASS_ZERO
 
 
 # --- rewrite rule self-validation ---

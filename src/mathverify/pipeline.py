@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -99,7 +99,9 @@ def _table_text(path: Optional[str], default: str) -> str:
 
 
 class Tables:
-    """Loaded macro/translation/blueprint/rule tables."""
+    """Loaded macro/translation/blueprint/rule tables.  All four files are
+    read here, so a missing one fails at once; the blueprints and the
+    rewrite rules, which translation never reads, are parsed on first read."""
 
     def __init__(self, options: PipelineOptions):
         self.macro_table: MacroTable = load_macro_table(
@@ -108,13 +110,16 @@ class Tables:
         self.translation_table: TranslationTable = load_translation_table(
             _table_text(options.translation_table, "translation.table")
         )
-        self.blueprints: list[ConstraintBlueprint] = parse_blueprint_rules(
-            _table_text(options.blueprints, "blueprints.rules"), self.macro_table
-        )
-        self.rewrite_rules: tuple[RewriteRule, ...] = load_rewrite_rules(
-            _table_text(options.rewrite_rules, "rewrite.rules"),
-            self.macro_table, self.translation_table,
-        )
+        self._blueprint_text = _table_text(options.blueprints, "blueprints.rules")
+        self._rule_text = _table_text(options.rewrite_rules, "rewrite.rules")
+
+    @cached_property
+    def blueprints(self) -> list[ConstraintBlueprint]:
+        return parse_blueprint_rules(self._blueprint_text, self.macro_table)
+
+    @cached_property
+    def rewrite_rules(self) -> tuple[RewriteRule, ...]:
+        return load_rewrite_rules(self._rule_text, self.macro_table, self.translation_table)
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,7 @@ class ChapterReport:
 @dataclass
 class FlaggedCase:
     formula_id: str
-    stage: str          # symbolic | numeric | constraint
+    stage: str          # symbolic | numeric | constraint | pipeline
     detail: str
     suspected_reason: str
     worst: Optional[float] = None
@@ -295,13 +300,14 @@ REASON_INVALID_VALUES = "invalid_values"
 REASON_SOURCE_ERROR = "source_error"
 REASON_ENGINE_ERROR = "engine_error"
 
-_FLAG_STAGE_ORDER = {"numeric": 0, "symbolic": 1, "constraint": 2}
+_FLAG_STAGE_ORDER = {"numeric": 0, "symbolic": 1, "constraint": 2, "pipeline": 3}
 
 
 def list_flagged(report: PipelineReport) -> list[FlaggedCase]:
     """Particularly interesting cases: numeric flags, worst discrepancy
-    first, then symbolic flags; unmatched constraints close the list
-    with stage ``constraint``."""
+    first, then symbolic flags, then unmatched constraints with stage
+    ``constraint``; records whose check raised close the list with stage
+    ``pipeline``."""
     flags: list[FlaggedCase] = []
     for out in report.outcomes:
         sym, num = out.symbolic, out.numeric
@@ -317,6 +323,9 @@ def list_flagged(report: PipelineReport) -> list[FlaggedCase]:
             ))
         flags += [FlaggedCase(out.id, "constraint", text, REASON_INVALID_VALUES)
                   for text in out.unmatched_constraints]
+        if out.failure == FAILURE_INTERNAL_ERROR:
+            flags.append(FlaggedCase(out.id, "pipeline", "internal error; traceback in the log",
+                                     REASON_ENGINE_ERROR))
     flags.sort(key=lambda f: (_FLAG_STAGE_ORDER[f.stage], -(f.worst or 0.0)))
     return flags
 
@@ -338,6 +347,11 @@ def run_pipeline(
         records = [r for r in records if r.chapter_code == chapter]
     records = scan_second(records)
     tables = tables or Tables(options)
+    # Parse the tables the checks read before the first record: a malformed
+    # file stops the run here, and forked workers inherit them parsed.
+    tables.blueprints
+    if options.run_symbolic:
+        tables.rewrite_rules
     if options.jobs > 1:
         outcomes = _run_parallel(records, tables, options)
     else:

@@ -623,15 +623,25 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
     if not replacements:
         return expr
 
-    def replace(node: Expr) -> Expr:
-        if _is_bessel(node):
-            key = (node.func, canon(node.params[0], ctx), canon(node.args[0], ctx))
-            hit = replacements.get(key)
-            if hit is not None:
-                return hit
-        return node
+    # A replacement is a DAG with exponentially many paths in its order
+    # gap, so each distinct node is walked once.
+    done: dict[Expr, Expr] = {}
 
-    return _map_tree(expr, replace, BESSEL_FAMILIES)
+    def replace(node: Expr) -> Expr:
+        # Top-down: a node is looked up under the arguments the replacements
+        # were keyed by, before the reductions inside them rebuild them.
+        if BESSEL_FAMILIES.isdisjoint(ir.heads(node)):
+            return node
+        out = done.get(node)
+        if out is None:
+            hit = node
+            if _is_bessel(node):
+                key = (node.func, canon(node.params[0], ctx), canon(node.args[0], ctx))
+                hit = replacements.get(key, node)
+            out = done[node] = ir.map_children(hit, replace)
+        return out
+
+    return replace(expr)
 
 
 # --- simplification ---

@@ -155,7 +155,8 @@ class _Translator:
 
     def leaf(self, token: Token) -> Expr:
         if token.category is DIGIT:
-            return Number(Fraction(token.text))
+            text = token.text
+            return Number(Fraction(text) if "." in text else Fraction(int(text)))
         name = variable_name(token)
         if name is not None:
             return Var(name)
@@ -174,14 +175,6 @@ class _Translator:
     def row(self, items: Sequence[ParseNode]) -> Expr:
         return self._additive(list(items))
 
-    def _is_op(self, node: ParseNode, *texts: str) -> bool:
-        return (
-            node.kind is LEAF
-            and node.token is not None
-            and node.token.category in (OPERATOR, RELATION)
-            and node.token.text in texts
-        )
-
     def _additive(self, items: Sequence[ParseNode]) -> Expr:
         if not items:
             raise UnsupportedGrammar("empty expression")
@@ -199,24 +192,24 @@ class _Translator:
             sign = 1
 
         for node in items:
-            if self._is_op(node, "+", "-"):
-                if not current:
-                    # Unary sign opening a term.
-                    if self._is_op(node, "-"):
-                        sign = -sign
-                    continue
-                negative = self._is_op(node, "-")
-                flush()
-                sign = -1 if negative else 1
-                continue
-            if self._is_op(node, "\\pm", "\\mp"):
-                raise UnsupportedGrammar("unresolved plus-minus sign")
-            if node.kind is LEAF and node.token is not None and \
-                    node.token.category is RELATION:
-                raise UnsupportedGrammar("nested relation")
-            if node.kind is LEAF and node.token is not None and \
-                    node.token.category is COMMA:
-                raise UnsupportedGrammar("comma outside an argument list")
+            token = node.token if node.kind is LEAF else None
+            if token is not None:
+                category, text = token.category, token.text
+                if category is OPERATOR or category is RELATION:
+                    if text == "+" or text == "-":
+                        # A sign ends the term before it, if there is one;
+                        # a minus negates the term after it.
+                        if current:
+                            flush()
+                        if text == "-":
+                            sign = -sign
+                        continue
+                    if text == "\\pm" or text == "\\mp":
+                        raise UnsupportedGrammar("unresolved plus-minus sign")
+                if category is RELATION:
+                    raise UnsupportedGrammar("nested relation")
+                if category is COMMA:
+                    raise UnsupportedGrammar("comma outside an argument list")
             current.append(node)
         flush()
         return ir.add(*terms) if len(terms) > 1 else terms[0]
@@ -225,13 +218,17 @@ class _Translator:
         result: Optional[Expr] = None
         divide_next = False
         for node in items:
-            if self._is_op(node, "*", "\\cdot", "\\times", "\\ast"):
-                continue
-            if self._is_op(node, "/", "\\div"):
-                if divide_next:
-                    raise UnsupportedGrammar("repeated division operator")
-                divide_next = True
-                continue
+            token = node.token if node.kind is LEAF else None
+            # `_additive` refuses relation tokens, so only operators are left.
+            if token is not None and token.category is OPERATOR:
+                text = token.text
+                if text in ("*", "\\cdot", "\\times", "\\ast"):
+                    continue
+                if text == "/" or text == "\\div":
+                    if divide_next:
+                        raise UnsupportedGrammar("repeated division operator")
+                    divide_next = True
+                    continue
             factor = self.node(node)
             if result is None:
                 result = factor

@@ -642,6 +642,62 @@ def test_load_config_resolves_relative_paths(tmp_path):
     assert len(tables.blueprints) == 1
 
 
+# --- the blueprint and rule tables load on first read ---
+
+def _refuse(*args):
+    raise AssertionError("table parsed")
+
+
+def test_translation_reads_neither_the_blueprints_nor_the_rules(tmp_path, monkeypatch,
+                                                                chapter_file, capsys):
+    from mathverify.cli import main
+    monkeypatch.setattr(pipeline, "parse_blueprint_rules", _refuse)
+    monkeypatch.setattr(pipeline, "load_rewrite_rules", _refuse)
+    tables = Tables(PipelineOptions())
+    assert tables.macro_table is not None and tables.translation_table is not None
+    assert main(["translate", "--corpus", MINI, "--chapter", "GA"]) == 0
+    assert main(["extract", "--source", str(chapter_file), "--source-chapter", "EF",
+                 "--output", str(tmp_path / "out.jsonl")]) == 0
+    assert all(json.loads(l)["status"] == "ok" for l in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("field", ["blueprints", "rewrite_rules"])
+def test_missing_table_file_fails_at_construction(tmp_path, field):
+    # The files are read at once; only their parse waits for the first read.
+    with pytest.raises(FileNotFoundError):
+        Tables(PipelineOptions(**{field: str(tmp_path / "missing.rules")}))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_malformed_rule_file_stops_the_run_before_any_record(tmp_path, monkeypatch, jobs):
+    from mathverify.errors import MalformedRule
+    rules = tmp_path / "bad.rules"
+    rules.write_text("\\sin@{var1}\n")
+    started = []
+    monkeypatch.setattr(pipeline, "verify_record", lambda *a: started.append(a))
+    monkeypatch.setattr(pipeline, "_run_parallel", lambda *a: started.append(a))
+    with pytest.raises(MalformedRule, match="line 1: missing '->'"):
+        run_pipeline(MINI, PipelineOptions(rewrite_rules=str(rules), jobs=jobs))
+    assert started == []
+
+
+def test_numeric_run_never_parses_the_rule_table(monkeypatch, report):
+    monkeypatch.setattr(pipeline, "load_rewrite_rules", _refuse)
+    numeric = run_pipeline(MINI, PipelineOptions(run_symbolic=False))
+    assert numeric.totals.f2 == report.totals.f2
+
+
+def test_workers_inherit_the_parsed_tables(monkeypatch):
+    loaded = []
+
+    def run_parallel(records, tables, options):
+        loaded.append({"blueprints", "rewrite_rules"} <= set(vars(tables)))
+        return []
+    monkeypatch.setattr(pipeline, "_run_parallel", run_parallel)
+    run_pipeline(MINI, PipelineOptions(jobs=2))
+    assert loaded == [True]
+
+
 # --- command line ---
 
 def test_cli_extract_and_report(tmp_path, chapter_file, capsys):
@@ -668,6 +724,18 @@ def test_cli_flags_and_blueprint_check(capsys):
     assert {l["id"] for l in lines} == {"EF.14", "GA.8"}
     assert main(["blueprint-check", "--corpus", MINI]) == 0
     assert "0 unmatched constraint(s)" in capsys.readouterr().out
+
+
+def test_cli_flags_list_a_record_that_raises(tmp_path, mini_corpus, capsys):
+    from mathverify.cli import main
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(mini_corpus + [DEEP], corpus)
+    assert main(["flags", "--corpus", str(corpus)]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert {l["id"] for l in lines[:-1]} == {"EF.14", "GA.8"}
+    assert lines[-1] == {"id": "EF.999", "stage": "pipeline",
+                         "detail": "internal error; traceback in the log",
+                         "suspected_reason": "engine_error"}
 
 
 def test_cli_translate(capsys):

@@ -19,6 +19,7 @@ from mathverify.normform import NormContext, NormMemo
 from mathverify.numeric import NumericConfig, eval_expr
 from mathverify.parser import parse, tokenize
 from mathverify.symbolic import (
+    ALL_PREPROCESSORS,
     CLASS_ERROR,
     CLASS_ONE,
     CLASS_OTHER_NUMERIC,
@@ -28,6 +29,7 @@ from mathverify.symbolic import (
     MODE_DIFFERENCE,
     MODE_QUOTIENT,
     PRE_EXPAND,
+    PRE_EXPAND_CONVERT,
     PRE_EXPONENTIAL,
     PRE_HYPERGEOMETRIC,
     PRE_NONE,
@@ -279,6 +281,40 @@ def test_exponential_preprocessor_needed_without_rules(tables):
     none_only = SimplifyConfig(rules=(), preprocessors=(PRE_NONE,))
     out_none = verify_symbolic(rel, (), none_only)
     assert out_none.classification != CLASS_ZERO
+
+
+# Formulae that only the expansion preprocessors verify.  The composed
+# identities win through expand_then_convert alone; the power product wins
+# through expand, and without it through expand_then_convert in as many
+# steps.  Rows: default (verdict, winner, steps), preprocessors dropped,
+# (verdict, winner) without them.
+_EXPANSION_WINS = [
+    (r"(-x)^{-1/2}(-x)^{3/2} + \sin@{2y} = -x + 2\sin@{y}\cos@{y}", ("x > 0",),
+     (CLASS_ZERO, PRE_EXPAND_CONVERT, 344), (PRE_EXPAND_CONVERT,), (CLASS_UNSIMPLIFIED, None)),
+    (r"(x^{2})^{1/2}(x^{2})^{1/2} + \LegendreP{2}@{y} = x^{2} + \frac{3y^2-1}{2}",
+     ("x < 0",),
+     (CLASS_ZERO, PRE_EXPAND_CONVERT, 282), (PRE_EXPAND_CONVERT,), (CLASS_UNSIMPLIFIED, None)),
+    (r"(-x)^{-1/2}(-x)^{3/2} = (-x)^{1}", ("x > 0",),
+     (CLASS_ZERO, PRE_EXPAND, 8), (PRE_EXPAND, PRE_EXPAND_CONVERT), (CLASS_UNSIMPLIFIED, None)),
+    (r"(-x)^{-1/2}(-x)^{3/2} = (-x)^{1}", ("x > 0",),
+     (CLASS_ZERO, PRE_EXPAND, 8), (PRE_EXPAND,), (CLASS_ZERO, PRE_EXPAND_CONVERT)),
+]
+
+
+@pytest.mark.parametrize("latex, constraints, default, dropped, without", _EXPANSION_WINS)
+def test_expansion_preprocessors_have_unique_wins(tables, latex, constraints, default,
+                                                  dropped, without):
+    from mathverify.constraints import interpret_constraints
+    rel = tr(latex, tables)
+    domains = interpret_constraints(constraints, tables.blueprints,
+                                    tables.macro_table).domains
+    out = verify_symbolic(rel, domains, default_config(tables))
+    assert (out.classification, out.winning_preprocessor, out.steps_used) == default
+    kept = tuple(p for p in ALL_PREPROCESSORS if p not in dropped)
+    out = verify_symbolic(rel, domains, default_config(tables, preprocessors=kept))
+    assert (out.classification, out.winning_preprocessor) == without
+    if out.verified:
+        assert out.steps_used == default[2]
 
 
 def test_inequality_raises(tables):
@@ -540,8 +576,8 @@ _SWEEP_BUDGETS = (1, 4, 10, 25, 61, 97, 140, 199, 262, 331, 418, 500_000)
 _SWAP_TERMS = RewriteRule(ir.add(Var("var1"), Var("var2")), ir.add(Var("var2"), Var("var1")),
                           (), "var1 + var2 -> var2 + var1")
 
-# Bessel functions whose arguments hold Bessel functions: the inner ones
-# are reduced first, so the outer ones are looked up under new arguments.
+# Bessel functions whose arguments hold Bessel functions: the outer ones
+# must be looked up under their arguments before the inner ones are reduced.
 _NESTED_BESSEL = (
     r"\BesselJ{\mu+2}@{\BesselJ{\nu+2}@{z}} = \frac{2(\mu+1)}{\BesselJ{\nu+2}@{z}}"
     r"\BesselJ{\mu+1}@{\BesselJ{\nu+2}@{z}} - \BesselJ{\mu}@{\BesselJ{\nu+2}@{z}}",
@@ -576,6 +612,7 @@ def _memo_sweep(tables, mini_corpus, monkeypatch, rules):
     assert sweep(lambda: None) == shared
     monkeypatch.undo()
     assert shared[500_000, "nested_bessel0"][0] in (CLASS_ZERO, CLASS_ONE)
+    assert shared[500_000, "nested_bessel1"][0] in (CLASS_ZERO, CLASS_ONE)
     return equations, shared
 
 
@@ -586,6 +623,9 @@ def test_shared_norm_memo_keeps_every_outcome(tables, mini_corpus, monkeypatch):
     a fresh memo per candidate and of no memo at all, on every budget of
     the sweep."""
     _, shared = _memo_sweep(tables, mini_corpus, monkeypatch, tables.rewrite_rules)
+    # The outer Bessel nodes are looked up under their own arguments, and
+    # the inner ones are reduced inside what comes back.
+    assert shared[500_000, "nested_bessel1"] == (CLASS_ZERO, None, PRE_NONE, 564, None)
     exhausted = [key for key, fields in shared.items() if fields[3] == key[0] + 1]
     assert len({budget for budget, _ in exhausted}) >= 8
     assert sum(fields[0] == CLASS_ZERO for fields in shared.values()) > 200
@@ -870,7 +910,8 @@ def _full_map_tree(expr, fn, converts):
 
 
 def _converted(expr):
-    """``expr`` through the three passes built on ``symbolic._map_tree``."""
+    """``expr`` through the two passes built on ``symbolic._map_tree`` and
+    through the Bessel reduction, which walks the tree top-down itself."""
     return (symbolic.to_exponential_form(expr), symbolic.to_hypergeometric_form(expr),
             symbolic.reduce_bessel_orders(expr, NormContext()))
 
@@ -891,6 +932,29 @@ def test_conversions_skip_trees_without_a_head_they_convert(tables, monkeypatch)
     assert reduced != expr
     assert visited and all("bessel_j" in ir.heads(node) for node in visited)
     assert any(term is plain for term in reduced.terms)
+
+
+def test_bessel_reduction_walks_each_node_of_a_replacement_once(tables, monkeypatch):
+    # The replacement for order nu+40 shares its two lower members at every
+    # level: a DAG of about 3 nodes per order with Fibonacci(40) paths.
+    visited = []
+    map_children = ir.map_children
+
+    def counted(node, fn):
+        visited.append(node)
+        if len(visited) > 10_000:
+            pytest.fail("the Bessel reduction walks shared nodes once per path")
+        return map_children(node, fn)
+
+    monkeypatch.setattr(ir, "map_children", counted)
+    expr = tx(r"\BesselJ{\nu+40}@{z} - \BesselJ{\nu}@{z}", tables)
+    assert symbolic.reduce_bessel_orders(expr, NormContext()) != expr
+    assert len(visited) <= 3 * 40
+    visited.clear()
+    rel = tr(r"\BesselJ{\nu+40}@{z} - \BesselJ{\nu}@{z} = 0", tables)
+    out = verify_symbolic(rel, (), default_config(tables, rewrite_step_budget=200))
+    assert (out.classification, out.steps_used) == (CLASS_UNSIMPLIFIED, 201)
+    assert len(visited) < 1_000
 
 
 # Every head the conversions act on, each below a sum and a product.

@@ -2,13 +2,15 @@
 
 Used to resolve explicit Derivative nodes (the Wronskian macro's
 expansion) into derivative-free expressions before evaluation or
-simplification.  Functions without a differentiation rule leave the
-Derivative node in place; callers decide how to degrade.
+simplification.  The sum, product, power and chain rules are here; the
+derivative of each function is a row of the ``[derivative]`` section of
+the identity table ``data/identities.rules`` (`symbolic.identities`).
+Functions without a row leave the Derivative node in place; callers
+decide how to degrade.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from . import ir
@@ -28,68 +30,14 @@ from .ir import (
 )
 
 
-_MINUS_HALF = Number(Fraction(-1, 2))
-
-
-def _dfn(func: str, u: Expr) -> Optional[Expr]:
-    """Derivative of f(u) with respect to u, for single-argument kernels."""
-    f = lambda name: FunctionApp(name, (), (u,))
-    if func == "sin":
-        return f("cos")
-    if func == "cos":
-        return ir.neg_term(f("sin"))
-    if func == "tan":
-        return ir.power(f("sec"), ir.num(2))
-    if func == "sec":
-        return ir.mul(f("sec"), f("tan"))
-    if func == "csc":
-        return ir.mul(ir.MINUS_ONE, f("csc"), f("cot"))
-    if func == "cot":
-        return ir.neg_term(ir.power(f("csc"), ir.num(2)))
-    if func == "sinh":
-        return f("cosh")
-    if func == "cosh":
-        return f("sinh")
-    if func == "tanh":
-        return ir.power(f("sech"), ir.num(2))
-    if func == "sech":
-        return ir.mul(ir.MINUS_ONE, f("sech"), f("tanh"))
-    if func == "csch":
-        return ir.mul(ir.MINUS_ONE, f("csch"), f("coth"))
-    if func == "coth":
-        return ir.neg_term(ir.power(f("csch"), ir.num(2)))
-    if func == "ln":
-        return ir.div(ir.ONE, u)
-    if func == "arcsin":
-        return ir.power(ir.sub(ir.ONE, ir.power(u, ir.num(2))), _MINUS_HALF)
-    if func == "arctan":
-        return ir.div(ir.ONE, ir.add(ir.ONE, ir.power(u, ir.num(2))))
-    if func == "erf":
-        return ir.mul(
-            ir.num(2),
-            ir.power(Const(ir.PI), _MINUS_HALF),
-            ir.power(Const(ir.EULER_E), ir.neg_term(ir.power(u, ir.num(2)))),
-        )
-    if func == "erfc":
-        return ir.mul(
-            ir.num(-2),
-            ir.power(Const(ir.PI), _MINUS_HALF),
-            ir.power(Const(ir.EULER_E), ir.neg_term(ir.power(u, ir.num(2)))),
-        )
-    return None
-
-
-# Bessel-family derivatives in terms of adjacent orders.
-_BESSEL_SIGNS = {
-    "bessel_j": (1, -1, ir.HALF.value),
-    "bessel_y": (1, -1, ir.HALF.value),
-    "bessel_i": (1, 1, ir.HALF.value),
-    "bessel_k": (-1, -1, ir.HALF.value),
-}
-
-
 def differentiate(expr: Expr, var: str) -> Optional[Expr]:
-    """d(expr)/d(var), or None when no rule applies."""
+    """d(expr)/d(var), or None when no rule applies.
+
+    A function's derivative is its ``derivative`` row of the identity
+    table times the derivative of its last argument; a function with no
+    row, or whose other parameters and arguments depend on ``var``, has
+    none.  A Derivative node inside ``expr`` is one `resolve_derivatives`
+    could not resolve, so it has none either."""
     if isinstance(expr, Var):
         return ir.ONE if expr.name == var else ir.ZERO
     if isinstance(expr, (Number, Const)):
@@ -133,43 +81,18 @@ def differentiate(expr: Expr, var: str) -> Optional[Expr]:
             ir.add(ir.mul(de, FunctionApp("ln", (), (base,))),
                    ir.mul(exponent, ir.div(db, base))),
         )
-    if isinstance(expr, FunctionApp):
-        if expr.func in _BESSEL_SIGNS and len(expr.args) == 1:
-            order = expr.params[0]
-            if var in free_variables(order):
-                return None
-            dz = differentiate(expr.args[0], var)
-            if dz is None:
-                return None
-            s_lo, s_hi, half = _BESSEL_SIGNS[expr.func]
-            z = expr.args[0]
-            lower = FunctionApp(expr.func, (ir.sub(order, ir.ONE),), (z,))
-            upper = FunctionApp(expr.func, (ir.add(order, ir.ONE),), (z,))
-            inner = ir.add(ir.mul(ir.num(s_lo), lower), ir.mul(ir.num(s_hi), upper))
-            return ir.mul(Number(half), inner, dz)
-        if len(expr.args) == 1 and not expr.params:
-            u = expr.args[0]
-            du = differentiate(u, var)
-            if du is None:
-                return None
-            if du == ir.ZERO:
-                return ir.ZERO
-            outer = _dfn(expr.func, u)
-            if outer is None:
-                return None
-            return ir.mul(outer, du)
-        if not any(var in free_variables(a) for a in expr.params + expr.args):
-            return ir.ZERO
-        return None
-    if isinstance(expr, Derivative):
-        inner = resolve_derivatives(expr)
-        if isinstance(inner, Derivative):
+    if isinstance(expr, FunctionApp) and expr.args:
+        *fixed, u = expr.params + expr.args
+        if any(var in free_variables(c) for c in fixed):
             return None
-        return differentiate(inner, var)
-    if isinstance(expr, BigOp):
-        if var not in free_variables(expr):
-            return ir.ZERO
-        return None
+        du = differentiate(u, var)
+        if du is None or du == ir.ZERO:
+            return du
+        from .symbolic import apply_identity  # symbolic imports this module
+        outer = apply_identity("derivative", expr)
+        return None if outer is None else ir.mul(outer, du)
+    if isinstance(expr, BigOp) and var not in free_variables(expr):
+        return ir.ZERO
     return None
 
 

@@ -51,6 +51,7 @@ from .symbolic import (
     RewriteRule,
     SimplifyConfig,
     SymbolicOutcome,
+    identities,
     load_rewrite_rules,
     verify_symbolic,
 )
@@ -348,8 +349,10 @@ def run_pipeline(
     records = scan_second(records)
     tables = tables or Tables(options)
     # Parse the tables the checks read before the first record: a malformed
-    # file stops the run here, and forked workers inherit them parsed.
+    # file stops the run here, and forked workers inherit them parsed.  The
+    # identity table is read once per process, whatever the tables.
     tables.blueprints
+    identities()
     if options.run_symbolic:
         tables.rewrite_rules
     if options.jobs > 1:

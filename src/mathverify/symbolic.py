@@ -8,16 +8,20 @@ does the normal form's power split: it is the only place where the
 domains decide positivity.  Pre-processing conversions - exponential
 form, hypergeometric form, expansion, and their combinations - are tried
 in configured order; the first conversion under which the difference
-normalizes to zero (or the quotient to one) wins and is recorded.
+normalizes to zero (or the quotient to one) wins and is recorded.  The
+exponential and hypergeometric forms are the ``[exponential]`` and
+``[hypergeometric]`` rows of the identity table ``data/identities.rules``
+(`identities`), written in semantic LaTeX like the rewrite rules.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import AbstractSet, Callable, Optional, Sequence
 
 from . import ir
 from .calculus import resolve_derivatives
@@ -37,7 +41,6 @@ from .errors import (
 )
 from .ir import (
     Add,
-    BigOp,
     Const,
     Derivative,
     Expr,
@@ -63,8 +66,8 @@ from .normform import (
     norm,
     norm_plain,
 )
-from .parser import MacroTable, is_placeholder_name, parse, tokenize
-from .translate import TranslationTable, to_expr
+from .parser import MacroTable, is_placeholder_name, load_macro_table, parse, tokenize
+from .translate import TranslationTable, load_translation_table, to_expr
 
 # Preprocessor identifiers.
 PRE_NONE = "none"
@@ -236,16 +239,15 @@ def match_pattern(pattern: Expr, subject: Expr,
     if isinstance(pattern, Derivative):
         return pattern.var == subject.var and pattern.order == subject.order and \
             match_pattern(pattern.operand, subject.operand, binding)
-    if isinstance(pattern, BigOp):
-        if pattern.kind != subject.kind or pattern.var != subject.var:
+    # A BigOp, the one node type left.
+    if pattern.kind != subject.kind or pattern.var != subject.var:
+        return False
+    for p, s in ((pattern.lo, subject.lo), (pattern.hi, subject.hi)):
+        if (p is None) != (s is None):
             return False
-        for p, s in ((pattern.lo, subject.lo), (pattern.hi, subject.hi)):
-            if (p is None) != (s is None):
-                return False
-            if p is not None and not match_pattern(p, s, binding):
-                return False
-        return match_pattern(pattern.body, subject.body, binding)
-    return False
+        if p is not None and not match_pattern(p, s, binding):
+            return False
+    return match_pattern(pattern.body, subject.body, binding)
 
 
 def _match_commutative(pattern_children: list[Expr], subject_children: list[Expr],
@@ -370,15 +372,7 @@ def expand(expr: Expr, *, budget: int = 500_000,
     return emit(norm_plain(expr, ctx))
 
 
-def _genhyper(numerator: Sequence[Expr], denominator: Sequence[Expr], z: Expr) -> Expr:
-    return FunctionApp(
-        "genhyper",
-        (ir.num(len(numerator)), ir.num(len(denominator))),
-        tuple(numerator) + tuple(denominator) + (z,),
-    )
-
-
-def _map_tree(expr: Expr, fn, converts: frozenset) -> Expr:
+def _map_tree(expr: Expr, fn, converts: AbstractSet) -> Expr:
     """Bottom-up structural map of ``fn``, which changes only nodes whose
     `ir.head` is in ``converts``: a subtree whose heads miss them all
     comes back itself, unvisited."""
@@ -387,139 +381,72 @@ def _map_tree(expr: Expr, fn, converts: frozenset) -> Expr:
     return fn(ir.map_children(expr, lambda child: _map_tree(child, fn, converts)))
 
 
-_I = Const(ir.IMAGINARY_UNIT)
-_E = Const(ir.EULER_E)
+@functools.cache
+def identities() -> dict[str, dict]:
+    """The bundled identity table ``identities.rules``: section name ->
+    pattern head -> the section's rows with that head, in table order.
+    The rows are read against the bundled macro and translation tables
+    once per process, on first use; `pipeline.run_pipeline` reads them
+    before it starts workers, so forked ones inherit them."""
+    from .pipeline import data_text  # pipeline imports this module
+    macros = load_macro_table(data_text("macros.table"))
+    translation = load_translation_table(data_text("translation.table"))
+    parts = re.split(r"^\[(\w+)\]$", data_text("identities.rules"), flags=re.M)
+    return {name: _rule_index(load_rewrite_rules(body, macros, translation))
+            for name, body in zip(parts[1::2], parts[2::2])}
 
 
-def _exp_of(u: Expr) -> Expr:
-    return ir.power(_E, u)
+def apply_identity(section: str, node: Expr) -> Optional[Expr]:
+    """The replacement of the first row of identity-table ``section``
+    whose pattern matches ``node``, bound to it; None when no row does."""
+    for rule in identities()[section].get(ir.head(node), ()):
+        binding: dict[str, Expr] = {}
+        if match_pattern(rule.pattern, node, binding):
+            return _instantiate(rule.replacement, binding)
+    return None
 
 
-def _sin_form(u: Expr) -> Expr:
-    iu, miu = ir.mul(_I, u), ir.mul(ir.MINUS_ONE, _I, u)
-    return ir.div(ir.sub(_exp_of(iu), _exp_of(miu)), ir.mul(ir.num(2), _I))
+def _instantiate(template: Expr, binding: dict[str, Expr]) -> Expr:
+    """``template`` with its placeholders bound: `ir.substitute`, except
+    that a negation is rebuilt through `ir.neg_term`, so ``-var1`` bound
+    to ``2x`` is the ``-2x`` the translator reads, not ``-(2x)``."""
+
+    def bind(node: Expr) -> Expr:
+        if Var not in ir.heads(node):
+            return node
+        if isinstance(node, Var):
+            return binding.get(node.name, node)
+        if isinstance(node, Neg):
+            return ir.neg_term(bind(node.operand))
+        return ir.map_children(node, bind)
+
+    return bind(template)
 
 
-def _cos_form(u: Expr) -> Expr:
-    iu, miu = ir.mul(_I, u), ir.mul(ir.MINUS_ONE, _I, u)
-    return ir.div(ir.add(_exp_of(iu), _exp_of(miu)), ir.num(2))
+def _convert(section: str, expr: Expr) -> Expr:
+    """``expr`` with each node that a row of identity-table ``section``
+    matches replaced by that row, in one bottom-up pass that charges no
+    steps; a replacement is not converted again."""
 
+    def convert(node: Expr) -> Expr:
+        out = apply_identity(section, node)
+        return node if out is None else out
 
-def _sinh_form(u: Expr) -> Expr:
-    return ir.div(ir.sub(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
-
-
-def _cosh_form(u: Expr) -> Expr:
-    return ir.div(ir.add(_exp_of(u), _exp_of(ir.neg_term(u))), ir.num(2))
-
-
-_EXPONENTIAL_FORMS = {
-    "sin": _sin_form,
-    "cos": _cos_form,
-    "tan": lambda u: ir.div(_sin_form(u), _cos_form(u)),
-    "csc": lambda u: ir.div(ir.ONE, _sin_form(u)),
-    "sec": lambda u: ir.div(ir.ONE, _cos_form(u)),
-    "cot": lambda u: ir.div(_cos_form(u), _sin_form(u)),
-    "sinh": _sinh_form,
-    "cosh": _cosh_form,
-    "tanh": lambda u: ir.div(_sinh_form(u), _cosh_form(u)),
-    "csch": lambda u: ir.div(ir.ONE, _sinh_form(u)),
-    "sech": lambda u: ir.div(ir.ONE, _cosh_form(u)),
-    "coth": lambda u: ir.div(_cosh_form(u), _sinh_form(u)),
-}
-_EXPONENTIAL_HEADS = frozenset(_EXPONENTIAL_FORMS)
-
-# The heads `to_hypergeometric_form` converts: powers of e and six
-# functions.  A head its `convert` gains must be added here.
-_HYPERGEOMETRIC_HEADS = frozenset({
-    Pow, "bessel_j", "laguerre_poly", "legendre_poly", "jacobi_poly", "cheby_t", "erf",
-})
+    return _map_tree(expr, convert, identities()[section].keys())
 
 
 def to_exponential_form(expr: Expr) -> Expr:
     """Rewrite trigonometric/hyperbolic functions (and reciprocals) in
-    terms of powers of e; every other node passes through unchanged."""
-
-    def convert(node: Expr) -> Expr:
-        if isinstance(node, FunctionApp) and not node.params and len(node.args) == 1:
-            form = _EXPONENTIAL_FORMS.get(node.func)
-            if form is not None:
-                return form(node.args[0])
-        return node
-
-    return _map_tree(expr, convert, _EXPONENTIAL_HEADS)
+    terms of powers of e, by the identity table's ``exponential`` rows;
+    every other node passes through unchanged."""
+    return _convert("exponential", expr)
 
 
 def to_hypergeometric_form(expr: Expr) -> Expr:
-    """Table-driven rewrite of supported functions into generalized
-    hypergeometric form; unmatched nodes pass through unchanged."""
-
-    def convert(node: Expr) -> Expr:
-        if isinstance(node, Pow) and node.base == _E:
-            return _genhyper((), (), node.exponent)
-        if not isinstance(node, FunctionApp):
-            return node
-        if node.func == "bessel_j" and len(node.params) == 1:
-            nu, z = node.params[0], node.args[0]
-            prefactor = ir.div(
-                ir.power(ir.div(z, ir.num(2)), nu),
-                FunctionApp("gamma", (), (ir.add(nu, ir.ONE),)),
-            )
-            body = _genhyper(
-                (), (ir.add(nu, ir.ONE),),
-                ir.neg_term(ir.div(ir.power(z, ir.num(2)), ir.num(4))),
-            )
-            return ir.mul(prefactor, body)
-        if node.func == "laguerre_poly":
-            n, alpha = node.params
-            x = node.args[0]
-            prefactor = FunctionApp("binomial", (), (ir.add(n, alpha), n))
-            return ir.mul(
-                prefactor,
-                _genhyper((ir.neg_term(n),), (ir.add(alpha, ir.ONE),), x),
-            )
-        if node.func == "legendre_poly":
-            n = node.params[0]
-            x = node.args[0]
-            return _genhyper(
-                (ir.neg_term(n), ir.add(n, ir.ONE)),
-                (ir.ONE,),
-                ir.div(ir.sub(ir.ONE, x), ir.num(2)),
-            )
-        if node.func == "jacobi_poly":
-            alpha, beta, n = node.params
-            x = node.args[0]
-            prefactor = ir.div(
-                FunctionApp("pochhammer", (), (ir.add(alpha, ir.ONE), n)),
-                FunctionApp("gamma", (), (ir.add(n, ir.ONE),)),
-            )
-            return ir.mul(
-                prefactor,
-                _genhyper(
-                    (ir.neg_term(n), ir.add(n, alpha, beta, ir.ONE)),
-                    (ir.add(alpha, ir.ONE),),
-                    ir.div(ir.sub(ir.ONE, x), ir.num(2)),
-                ),
-            )
-        if node.func == "cheby_t":
-            n = node.params[0]
-            x = node.args[0]
-            return _genhyper(
-                (ir.neg_term(n), n), (ir.HALF,), ir.div(ir.sub(ir.ONE, x), ir.num(2))
-            )
-        if node.func == "erf":
-            z = node.args[0]
-            prefactor = ir.mul(
-                ir.num(2), z, ir.power(Const(ir.PI), Number(Fraction(-1, 2)))
-            )
-            return ir.mul(
-                prefactor,
-                _genhyper((ir.HALF,), (Number(Fraction(3, 2)),),
-                          ir.neg_term(ir.power(z, ir.num(2)))),
-            )
-        return node
-
-    return _map_tree(expr, convert, _HYPERGEOMETRIC_HEADS)
+    """Rewrite powers of e and the functions of the identity table's
+    ``hypergeometric`` rows into generalized hypergeometric form;
+    unmatched nodes pass through unchanged."""
+    return _convert("hypergeometric", expr)
 
 
 # --- Bessel order-lattice reduction ---
@@ -699,16 +626,15 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
 def _preprocess_variants(pre: str, lhs: Expr, rhs: Expr,
                          expanded: Callable[[], Optional[tuple[Expr, Expr]]],
                          ) -> list[tuple[Expr, Expr]]:
-    """The converted ``(lhs, rhs)`` pairs of one preprocessor; ``expanded``
-    returns both sides expanded, or None when expansion failed."""
+    """The converted ``(lhs, rhs)`` pairs of one preprocessor, which
+    `SimplifyConfig` has checked; ``expanded`` returns both sides
+    expanded, or None when expansion failed."""
     if pre == PRE_NONE:
         return [(lhs, rhs)]
     if pre == PRE_EXPONENTIAL:
         return [(to_exponential_form(lhs), to_exponential_form(rhs))]
     if pre == PRE_HYPERGEOMETRIC:
         return [(to_hypergeometric_form(lhs), to_hypergeometric_form(rhs))]
-    if pre not in (PRE_EXPAND, PRE_EXPAND_CONVERT):
-        raise ValueError(f"unknown preprocessor {pre!r}")
     sides = expanded()
     if sides is None:
         return []

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -696,6 +698,27 @@ def test_workers_inherit_the_parsed_tables(monkeypatch):
     monkeypatch.setattr(pipeline, "_run_parallel", run_parallel)
     run_pipeline(MINI, PipelineOptions(jobs=2))
     assert loaded == [True]
+
+
+_IDENTITY_LOADS = """
+from mathverify import pipeline, symbolic
+parses = lambda: symbolic.identities.cache_info().misses
+pipeline.Tables(pipeline.PipelineOptions())
+at_start, at_pool = parses(), []
+pipeline._run_parallel = lambda *args: at_pool.append(parses()) or []
+pipeline.run_pipeline({mini!r}, pipeline.PipelineOptions(jobs=2))
+pipeline.run_pipeline({mini!r}, pipeline.PipelineOptions(run_symbolic=False))
+print(at_start, at_pool, parses())
+"""
+
+
+def test_identity_table_is_parsed_once_per_process_before_workers_start():
+    # A fresh interpreter: importing the package and building the tables
+    # parse none of it, and the first run parses it before its pool starts.
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _IDENTITY_LOADS.format(mini=MINI)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "0 [1] 1"
 
 
 # --- command line ---

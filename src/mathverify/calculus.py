@@ -99,25 +99,21 @@ def differentiate(expr: Expr, var: str) -> Optional[Expr]:
 def resolve_derivatives(expr: Expr, done: Optional[dict[Expr, Expr]] = None) -> Expr:
     """Replace Derivative nodes with explicit derivatives where rules
     exist; unresolved nodes stay in the tree.  A tree with no Derivative
-    node comes back itself.  ``done`` maps nodes already resolved to
-    their results, and gains those of this call."""
-    if Derivative not in ir.heads(expr):
-        return expr
-    if done is None:
-        done = {}
-    hit = done.get(expr)
-    if hit is not None:
-        return hit
-    if isinstance(expr, Derivative):
-        operand = resolve_derivatives(expr.operand, done)
-        current: Expr = operand
-        for _ in range(expr.order):
-            d = differentiate(current, expr.var)
-            if d is None:
-                current = Derivative(operand, expr.var, expr.order)
-                break
-            current = d
-    else:
-        current = ir.map_children(expr, lambda child: resolve_derivatives(child, done))
-    done[expr] = current
+    node comes back itself.  ``done`` (a fresh table by default) maps
+    nodes already resolved to their results, and gains those of this
+    call (`ir.map_bottom_up`)."""
+    return ir.map_bottom_up(expr, {Derivative}, _resolve, {} if done is None else done)
+
+
+def _resolve(node: Expr) -> Expr:
+    """A Derivative node whose operand is resolved, differentiated
+    ``order`` times; itself where a step has no rule.  Any other node
+    comes back itself."""
+    if not isinstance(node, Derivative):
+        return node
+    current = node.operand
+    for _ in range(node.order):
+        current = differentiate(current, node.var)
+        if current is None:
+            return node
     return current

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from operator import is_
-from typing import Callable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterator, Optional
 
 
 class Expr:
@@ -455,8 +455,29 @@ def heads(expr: Expr) -> frozenset:
     return out
 
 
+def map_bottom_up(expr: Expr, only: AbstractSet, fn: Callable[[Expr], Expr],
+                  done: Optional[dict[Expr, Expr]] = None) -> Expr:
+    """``fn`` applied to each node after its children (`map_children`),
+    only in subtrees whose `heads` meet ``only``: a subtree that misses
+    them all comes back itself, unvisited.  ``done``, when given, maps the
+    nodes mapped so far to their results, and gains those of this call."""
+
+    def walk(node: Expr) -> Expr:
+        if only.isdisjoint(heads(node)):
+            return node
+        if done is None:
+            return fn(map_children(node, walk))
+        out = done.get(node)
+        if out is None:
+            out = done[node] = fn(map_children(node, walk))
+        return out
+
+    return walk(expr)
+
+
 def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
-    """Capture-avoiding substitution of free variables."""
+    """Capture-avoiding substitution of free variables.  Not a
+    `map_bottom_up` pass: a `BigOp` hides its binder from its body."""
     if not mapping:
         return expr
     if isinstance(expr, Var):

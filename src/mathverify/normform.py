@@ -21,6 +21,10 @@ which every product passes through).  The two kinds hash and compare
 equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
 
+No code writes a `_Rat`'s two polynomial dicts once it is built (the
+one in-place write, `_poly_add_into`, fills a dict that `poly_add` or
+`poly_mul` has just made), so forms share them, and the memo keeps them.
+
 A `NormContext` counts steps against a budget and carries the variable
 domains under which a power of a product splits (`_norm_pow`).  It is
 the one step counter of a `symbolic.simplify` candidate: the rewrite
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from . import ir
@@ -96,17 +101,18 @@ class NormMemo:
     """What the candidates of one formula share: the results of the
     passes `simplify` runs on each, `norm` and the three before it.
 
-    ``norms`` maps a non-leaf node to its frozen `_norm` result, and
-    ``canons`` maps a `canon` key to its canonical IR.  Each entry also
-    keeps its own ticks (those spent outside nested `canon` computations)
-    and the closure of the `canon` keys its computation touched, so that
-    a context reusing it can charge what computing it afresh would cost
-    (`NormContext.charge`).  Two tables hold other computations whose
-    steps count in a context the same way, as (value, own ticks, canon
-    closure) entries that `NormContext.reuse` fills and charges:
-    ``computed`` holds the Bessel pass's replacement maps, keyed by the
-    tuple of Bessel nodes they were computed from, and ``rewrites`` the
-    rewriter's result per node, None where no rule fired in it.
+    Every entry of ``norms``, ``canons``, ``computed`` and ``rewrites``
+    has one shape, (value, own ticks, canon closure): the ticks spent
+    outside nested `canon` computations and the closure of the `canon`
+    keys the computation touched, so that a context reusing it can charge
+    what computing it afresh would cost (`NormContext.charge`).
+    `NormContext.reuse` fills and charges ``norms``, which maps a non-leaf
+    node to its `_norm` result (a `_Rat`, which no code writes, so the
+    entry is the result itself), ``computed``, which holds the Bessel
+    pass's replacement maps keyed by the tuple of Bessel nodes they were
+    computed from, and ``rewrites``, the rewriter's result per node, None
+    where no rule fired in it.  ``canons`` maps a `canon` key to its
+    canonical IR; its closure includes the key itself.
 
     The passes before `norm` keep their other per-node results here too:
     ``derivatives`` (`calculus.resolve_derivatives`) and ``bessel_nodes``
@@ -120,7 +126,7 @@ class NormMemo:
                  "bessel_nodes")
 
     def __init__(self):
-        # node -> (num items, den items, own ticks, canon closure)
+        # node -> (_Rat, own ticks, canon closure)
         self.norms: dict[Expr, tuple] = {}
         # key -> (canonical IR, own ticks, canon closure including key)
         self.canons: dict[Expr, tuple] = {}
@@ -145,8 +151,8 @@ class NormContext:
     context, so a context counts each `canon` key's computation once: the
     set of keys it has charged is closed downward (with a key, every key
     its computation touched).  Without a memo that is all that is reused.  With a
-    `NormMemo`, `_norm`, `canon` and `reuse` results computed by earlier
-    contexts are reused too, and each reuse is charged what a fresh
+    `NormMemo`, `canon` and `reuse` results (`_norm`'s among them) computed
+    by earlier contexts are reused too, and each reuse is charged what a fresh
     computation would count here (`charge`), so ``steps`` and the point
     where the budget runs out do not depend on what the memo held.  The
     memo is keyed by node alone, so every context sharing one must carry
@@ -411,7 +417,7 @@ def poly_pow(p: Poly, n: int, ctx: NormContext) -> Poly:
         raise ValueError("poly_pow needs a nonnegative exponent")
     if n > POWER_CAP:
         raise BudgetExceeded(f"power {n} exceeds the expansion cap {POWER_CAP}")
-    result = dict(ONE_POLY)
+    result = ONE_POLY
     base = p
     while n:
         if n & 1:
@@ -437,12 +443,12 @@ class _Rat:
 
 
 def _rat_const(value: Rat) -> _Rat:
-    return _Rat(const_poly(value), dict(ONE_POLY))
+    return _Rat(const_poly(value), ONE_POLY)
 
 
 def _rat_add(a: _Rat, b: _Rat, ctx: NormContext) -> _Rat:
     if a.den == b.den:
-        return _Rat(poly_add(a.num, b.num), dict(a.den))
+        return _Rat(poly_add(a.num, b.num), a.den)
     return _Rat(
         poly_add(poly_mul(a.num, b.den, ctx), poly_mul(b.num, a.den, ctx)),
         poly_mul(a.den, b.den, ctx),
@@ -459,8 +465,8 @@ def _rat_inv(a: _Rat, ctx: NormContext) -> _Rat:
     if len(a.num) == 1:
         (mono, coef), = a.num.items()
         inv_poly = {_mono_inverse(mono, ctx): Fraction(1) / coef}
-        return _Rat(poly_mul(a.den, inv_poly, ctx), dict(ONE_POLY))
-    return _Rat(dict(a.den), dict(a.num))
+        return _Rat(poly_mul(a.den, inv_poly, ctx), ONE_POLY)
+    return _Rat(a.den, a.num)
 
 
 def _rat_pow(a: _Rat, n: int, ctx: NormContext) -> _Rat:
@@ -472,7 +478,7 @@ def _rat_pow(a: _Rat, n: int, ctx: NormContext) -> _Rat:
 def _atom_rat(atom: Expr, exp: ExpKey = 1) -> _Rat:
     if isinstance(exp, _RAT) and exp == 0:
         return _rat_const(1)
-    return _Rat({((atom, exp),): 1}, dict(ONE_POLY))
+    return _Rat({((atom, exp),): 1}, ONE_POLY)
 
 
 # --- normalization ---
@@ -488,26 +494,12 @@ _LEAVES = (Number, Const, Var)
 
 
 def _norm(expr: Expr, ctx: NormContext) -> _Rat:
-    """`_norm_node`, reused through the context's memo for a non-leaf
-    node when the context has one."""
+    """`_norm_node`, reused through the context's memo (`NormContext.reuse`)
+    for a non-leaf node when the context has one."""
     memo = ctx.memo
     if memo is None or isinstance(expr, _LEAVES):
         return _norm_node(expr, ctx)
-    hit = memo.norms.get(expr)
-    touched = ctx._touched
-    if hit is not None:
-        num, den, own, keys = hit
-        ctx.charge(own, keys)
-        if keys:
-            touched.append(keys)
-        return _Rat(dict(num), dict(den))
-    start = len(touched)
-    steps, canon_ticks = ctx.steps, ctx._canon_ticks
-    rat = _norm_node(expr, ctx)
-    own = ctx.steps - steps - (ctx._canon_ticks - canon_ticks)
-    memo.norms[expr] = (tuple(rat.num.items()), tuple(rat.den.items()), own,
-                        _close(touched, start))
-    return rat
+    return ctx.reuse(memo.norms, expr, _norm_node)
 
 
 def _close(touched: list[frozenset], start: int, key: Optional[Expr] = None) -> frozenset:
@@ -592,7 +584,7 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
                 out = _rat_mul(out, _norm_pow(Pow(Number(coef), exp_expr), ctx), ctx)
             rest = []
             for atom, aexp in m:
-                factor = _pow_expr(atom, aexp)
+                factor = ir.power(atom, _exp_to_expr(aexp))
                 if sign(factor, ctx.domains) >= SIGN_NONNEG:
                     out = _rat_mul(out, _atom_rat(factor, exp_key), ctx)
                 else:
@@ -613,14 +605,12 @@ def _positive_real_part(rat: _Rat) -> bool:
         and rat.num.get(EMPTY_MONO, 0) > 0
 
 
-def _pow_expr(atom: Expr, exp: ExpKey) -> Expr:
-    return ir.power(atom, _exp_to_expr(exp))
-
-
 def canon(expr: Expr, ctx: NormContext) -> Expr:
     """Canonical IR of an expression, memoized in the context and, when
     it has a memo, shared through that.  A context charges a key's
-    computation once, as `NormContext.charge` counts it."""
+    computation once, as `NormContext.charge` counts it.  Not a
+    `NormContext.reuse` call: its closure holds its own key, and a hit
+    that this context has charged costs nothing."""
     memo = ctx.memo
     cached = ctx._canon_memo.get(expr)
     if cached is not None:
@@ -722,16 +712,12 @@ def _leading_negative(rat: _Rat) -> bool:
     return lead[1] < 0
 
 
-def _poly_const_part(p: Poly) -> Rat:
-    return p.get(EMPTY_MONO, 0)
-
-
 def _norm_gamma(arg: Expr, ctx: NormContext) -> _Rat:
     arg_rat = _norm(arg, ctx)
     if arg_rat.den != ONE_POLY:
         return _atom_rat(FunctionApp("gamma", (), (emit(_freeze(arg_rat.num, arg_rat.den)),)))
     poly = arg_rat.num
-    c = _poly_const_part(poly)
+    c = poly.get(EMPTY_MONO, 0)
     nonconst = {m: v for m, v in poly.items() if m != EMPTY_MONO}
     if not nonconst:
         return _gamma_constant(c, ctx)
@@ -744,12 +730,12 @@ def _norm_gamma(arg: Expr, ctx: NormContext) -> _Rat:
     if shift > 0:
         # Gamma(u + k) = (u+k-1)...(u) Gamma(u)
         for j in range(1, shift + 1):
-            factor = _Rat(poly_add(poly, const_poly(-j)), dict(ONE_POLY))
+            factor = _Rat(poly_add(poly, const_poly(-j)), ONE_POLY)
             result = _rat_mul(result, factor, ctx)
     else:
         # Gamma(u - k) = Gamma(u) / ((u-k)(u-k+1)...(u-1))
         for j in range(0, -shift):
-            factor = _Rat(poly_add(poly, const_poly(j)), dict(ONE_POLY))
+            factor = _Rat(poly_add(poly, const_poly(j)), ONE_POLY)
             result = _rat_mul(result, _rat_inv(factor, ctx), ctx)
     return result
 
@@ -766,10 +752,7 @@ def _gamma_constant(c: Rat, ctx: NormContext) -> _Rat:
         # A pole (kept so evaluation reports it), or too large to fold.
         return _atom_rat(FunctionApp("gamma", (), (Number(c),)))
     if c.denominator == 1:
-        value = 1
-        for k in range(2, int(c)):
-            value *= k
-        return _rat_const(value)
+        return _rat_const(factorial(int(c) - 1))
     rep = c - shift
     result: _Rat
     if rep == Fraction(1, 2):
@@ -820,7 +803,7 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
         n = min(terminating)
         total: Expr = ir.ZERO
         for k in range(n + 1):
-            term: Expr = ir.div(ir.power(z, ir.num(k)), _factorial_expr(k))
+            term: Expr = ir.div(ir.power(z, ir.num(k)), ir.num(factorial(k)))
             for a in numerator:
                 term = ir.mul(term, FunctionApp("pochhammer", (), (a, ir.num(k))))
             for b in denominator:
@@ -835,13 +818,6 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
         + (z,),
     )
     return _atom_rat(atom)
-
-
-def _factorial_expr(k: int) -> Expr:
-    value = 1
-    for j in range(2, k + 1):
-        value *= j
-    return ir.num(value)
 
 
 def _norm_bigop(expr: BigOp, ctx: NormContext) -> _Rat:
@@ -901,13 +877,13 @@ def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
     # With no monomial holding two gamma atoms nothing can pair, and the
     # term-by-term rebuild below would only copy ``p`` (with no ticks).
     if all(len(_gamma_atoms(mono)) < 2 for mono in p):
-        return _Rat(p, dict(ONE_POLY)), False
+        return _Rat(p, ONE_POLY), False
     changed = False
-    total = _Rat({}, dict(ONE_POLY))
+    total = _Rat({}, ONE_POLY)
     for mono, coef in p.items():
         pair = _gamma_pairs(mono, ctx)
         if pair is None:
-            total = _rat_add(total, _Rat({mono: coef}, dict(ONE_POLY)), ctx)
+            total = _rat_add(total, _Rat({mono: coef}, ONE_POLY), ctx)
             continue
         changed = True
         i, j, u, m = pair
@@ -929,7 +905,7 @@ def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
         if m == 0:
             replacement = _rat_mul(replacement, _rat_const(-1), ctx)
             replacement = _rat_mul(replacement, _rat_inv(_norm(u, ctx), ctx), ctx)
-        piece = _rat_mul(_Rat({tuple(rest): coef}, dict(ONE_POLY)), replacement, ctx)
+        piece = _rat_mul(_Rat({tuple(rest): coef}, ONE_POLY), replacement, ctx)
         total = _rat_add(total, piece, ctx)
     return total, changed
 
@@ -975,7 +951,7 @@ def _emit_poly(items: tuple[tuple[Mono, Rat], ...]) -> Expr:
 # --- classification helpers ---
 
 def is_zero_form(rf: RatForm) -> bool:
-    return not dict(rf.num)
+    return not rf.num
 
 
 def is_one_form(rf: RatForm) -> bool:

@@ -146,14 +146,15 @@ def eval_expr(expr: Expr, assignment: dict, config: NumericConfig,
               ctx: Optional[EvalContext] = None):
     """Evaluate an IR expression to an mpmath number at the assignment.
 
-    Works at ``precision_digits`` plus ten guard digits; principal
+    Works at ``precision_digits`` plus ten guard digits, or at the
+    caller's ``mp.dps`` when that is higher; principal
     branches everywhere, with branch-sensitive operations recorded on the
     context.  Without ``ctx`` the call gets a fresh context, so its value
     table dies with the call; a context passed in keeps its table.
     """
     if ctx is None:
         ctx = EvalContext()
-    with mp.workdps(config.precision_digits + 10):
+    with mp.workdps(max(mp.dps, config.precision_digits + 10)):
         mp_assign = {k: _to_mp(v) for k, v in assignment.items()}
         return _eval(expr, mp_assign, ctx)
 
@@ -441,12 +442,11 @@ def generate_assignments(
     if not variables:
         return [{}]
     special_values = dict(specials.assignments) if specials is not None else {}
-    # Blueprint-assigned variables keep their special value even when an
-    # interpreted domain disagrees (the conflict is logged upstream).
-    filter_domains = [d for d in domains if d.var not in special_values]
     per_var: dict[str, list[Fraction]] = {}
     for name in sorted(variables):
         if name in special_values:
+            # Kept even when an interpreted domain disagrees (the
+            # conflict is logged upstream).
             per_var[name] = [special_values[name]]
             continue
         var_domains = [d for d in domains if d.var == name]
@@ -469,9 +469,7 @@ def generate_assignments(
                 ext[name] = v
                 new.append(ext)
         assignments = new
-        if not assignments:
-            return []
-    return [a for a in assignments if check_domain(filter_domains, a)]
+    return assignments
 
 
 # --- relation verification ---

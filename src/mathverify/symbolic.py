@@ -30,6 +30,7 @@ from .constraints import (
     SIGN_POSITIVE,
     SIGN_REAL,
     VariableDomain,
+    parse_rational,
     sign,
 )
 from .errors import (
@@ -158,21 +159,35 @@ def load_rewrite_rules(
                                         macro_table), translation_table)
         except MathVerifyError as exc:
             raise MalformedRule(f"line {lineno}: {exc}") from exc
-        conditions = []
-        for clause in filter(None, (c.strip() for c in cond_text.split(","))):
-            conditions.append(_parse_condition(clause, lineno))
-        rules.append(RewriteRule(pattern, replacement, tuple(conditions), line))
+        bound = {v.name for v in ir.walk(pattern) if _is_placeholder(v)}
+        unbound = {v.name for v in ir.walk(replacement) if _is_placeholder(v)} - bound
+        if unbound:
+            raise MalformedRule(f"line {lineno}: the pattern does not bind "
+                                f"{min(unbound)!r}, which the replacement uses")
+        try:
+            conditions = tuple(_parse_condition(clause, bound) for clause in
+                               filter(None, (c.strip() for c in cond_text.split(","))))
+        except MalformedRule as exc:
+            raise MalformedRule(f"line {lineno}: {exc}") from exc
+        rules.append(RewriteRule(pattern, replacement, conditions, line))
     return tuple(rules)
 
 
-def _parse_condition(clause: str, lineno: int) -> tuple[str, str, Optional[Fraction]]:
-    parts = clause.split()
-    if len(parts) == 2 and parts[1] == "real":
-        return (parts[0], "real", None)
-    if len(parts) == 3 and parts[1] in (">=", ">", "!="):
-        kind = {">=": "ge", ">": "gt", "!=": "ne"}[parts[1]]
-        return (parts[0], kind, Fraction(parts[2]))
-    raise MalformedRule(f"line {lineno}: bad condition {clause!r}")
+def _parse_condition(clause: str, bound: AbstractSet[str],
+                     ) -> tuple[str, str, Optional[Fraction]]:
+    """``name real``, or ``name OP value`` with OP one of ``>=``, ``>``,
+    ``!=`` and a rational value, on a placeholder in ``bound``."""
+    name, *rest = clause.split()
+    kinds = {">=": "ge", ">": "gt", "!=": "ne"}
+    if rest == ["real"]:
+        condition = (name, "real", None)
+    elif len(rest) == 2 and rest[0] in kinds:
+        condition = (name, kinds[rest[0]], parse_rational(rest[1]))
+    else:
+        raise MalformedRule(f"bad condition {clause!r}")
+    if name not in bound:
+        raise MalformedRule(f"condition on {name!r}, which the pattern does not bind")
+    return condition
 
 
 # --- rule conditions ---
@@ -303,7 +318,9 @@ class _Rewriter:
     which matches any node, is in the table.  ``done`` holds each node
     rewritten so far, in this call or (through the context's `NormMemo`)
     in earlier calls with the same rules and domains, in the form
-    `NormContext.reuse` keeps and charges, None where no rule fired."""
+    `NormContext.reuse` keeps and charges, None where no rule fired.  Not
+    an `ir.map_bottom_up` pass: each node is charged through `reuse`, and
+    a replacement is walked again until no rule fires."""
 
     def __init__(self, rules: Sequence[RewriteRule], ctx: NormContext):
         self.index = _rule_index(rules)
@@ -372,15 +389,6 @@ def expand(expr: Expr, *, budget: int = 500_000,
     return emit(norm_plain(expr, ctx))
 
 
-def _map_tree(expr: Expr, fn, converts: AbstractSet) -> Expr:
-    """Bottom-up structural map of ``fn``, which changes only nodes whose
-    `ir.head` is in ``converts``: a subtree whose heads miss them all
-    comes back itself, unvisited."""
-    if converts.isdisjoint(ir.heads(expr)):
-        return expr
-    return fn(ir.map_children(expr, lambda child: _map_tree(child, fn, converts)))
-
-
 @functools.cache
 def identities() -> dict[str, dict]:
     """The bundled identity table ``identities.rules``: section name ->
@@ -412,15 +420,13 @@ def _instantiate(template: Expr, binding: dict[str, Expr]) -> Expr:
     to ``2x`` is the ``-2x`` the translator reads, not ``-(2x)``."""
 
     def bind(node: Expr) -> Expr:
-        if Var not in ir.heads(node):
-            return node
         if isinstance(node, Var):
             return binding.get(node.name, node)
         if isinstance(node, Neg):
-            return ir.neg_term(bind(node.operand))
-        return ir.map_children(node, bind)
+            return ir.neg_term(node.operand)
+        return node
 
-    return bind(template)
+    return ir.map_bottom_up(template, {Var}, bind)
 
 
 def _convert(section: str, expr: Expr) -> Expr:
@@ -432,7 +438,7 @@ def _convert(section: str, expr: Expr) -> Expr:
         out = apply_identity(section, node)
         return node if out is None else out
 
-    return _map_tree(expr, convert, identities()[section].keys())
+    return ir.map_bottom_up(expr, identities()[section].keys(), convert)
 
 
 def to_exponential_form(expr: Expr) -> Expr:
@@ -555,8 +561,9 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
     done: dict[Expr, Expr] = {}
 
     def replace(node: Expr) -> Expr:
-        # Top-down: a node is looked up under the arguments the replacements
-        # were keyed by, before the reductions inside them rebuild them.
+        """Top-down, so not an `ir.map_bottom_up` pass: a node is looked
+        up under the arguments the replacements were keyed by, before the
+        reductions inside them rebuild them."""
         if BESSEL_FAMILIES.isdisjoint(ir.heads(node)):
             return node
         out = done.get(node)

@@ -538,6 +538,18 @@ def test_precision_guard_digits():
         assert abs(value - mp.sqrt(mp.pi)) < mpf(10) ** -15
 
 
+def test_evaluation_keeps_a_higher_caller_precision():
+    # mpmath.diff raises the working precision around its calls; an
+    # evaluation that dropped back to precision_digits + 10 would round
+    # the step away and return 0.
+    sin_x = FunctionApp("sin", (), (Var("x"),))
+    config = NumericConfig(precision_digits=20)
+    with mp.workdps(30):
+        slope = mp.diff(lambda x: eval_expr(sin_x, {"x": x}, config), mpf(1) / 2)
+        assert abs(slope - mp.cos(mpf(1) / 2)) < mpf(10) ** -25
+        assert mp.dps == 30
+
+
 # --- inputs the kernel rejects or classifies ---
 
 def test_constants_and_unassigned_variables():

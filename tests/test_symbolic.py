@@ -1,12 +1,13 @@
 import dataclasses
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathverify import ir, symbolic
+from mathverify import ir, normform, symbolic
 from mathverify.constraints import VariableDomain
 from mathverify.errors import (
     BudgetExceeded,
@@ -903,14 +904,14 @@ def test_passes_hand_back_trees_they_cannot_change(tables):
     assert any(term is plain.terms[0] for term in resolved.terms)
 
 
-def _full_map_tree(expr, fn, converts):
-    """``symbolic._map_tree`` as it was before it skipped subtrees: ``fn``
-    is called on every node."""
-    return fn(ir.map_children(expr, lambda child: _full_map_tree(child, fn, converts)))
+def _full_map_bottom_up(expr, only, fn, done=None):
+    """``ir.map_bottom_up`` without its head filter or its memo: ``fn``
+    is called on every node, once per occurrence."""
+    return fn(ir.map_children(expr, lambda child: _full_map_bottom_up(child, only, fn)))
 
 
 def _converted(expr):
-    """``expr`` through the two passes built on ``symbolic._map_tree`` and
+    """``expr`` through the two passes built on ``ir.map_bottom_up`` and
     through the Bessel reduction, which walks the tree top-down itself."""
     return (symbolic.to_exponential_form(expr), symbolic.to_hypergeometric_form(expr),
             symbolic.reduce_bessel_orders(expr, NormContext()))
@@ -972,7 +973,7 @@ def test_conversions_match_the_full_map(tables, mini_corpus, monkeypatch):
     for _, rel, _ in _corpus_equations(tables, mini_corpus):
         trees += [rel.lhs, rel.rhs, ir.sub(rel.lhs, rel.rhs)]
     got = [_converted(t) for t in trees]
-    monkeypatch.setattr(symbolic, "_map_tree", _full_map_tree)
+    monkeypatch.setattr(ir, "map_bottom_up", _full_map_bottom_up)
     assert got == [_converted(t) for t in trees]
     exponential_heads = symbolic.identities()["exponential"].keys()
     hypergeometric_heads = symbolic.identities()["hypergeometric"].keys()
@@ -983,6 +984,46 @@ def test_conversions_match_the_full_map(tables, mini_corpus, monkeypatch):
             assert hypergeometric is tree
     assert sum(e is not t for t, (e, _, _) in zip(trees, got)) >= 5
     assert sum(b is not t for t, (_, _, b) in zip(trees, got)) >= 4
+
+
+def _fuzz_equations(tables):
+    """One equation per shape and pair of atoms of `test_soundness_fuzz`,
+    with exponents and constraints taken in turn."""
+    from itertools import cycle, product
+
+    from mathverify.constraints import interpret_constraints
+    from test_soundness_fuzz import ATOMS, CONSTRAINTS, EXPONENTS, SHAPES
+
+    exponents = cycle(product(EXPONENTS, repeat=2))
+    constraints = cycle(CONSTRAINTS)
+    equations = []
+    for shape, a, b in product(SHAPES, ATOMS, ATOMS):
+        rel = tr("{} = {}".format(*shape(a, b, *next(exponents))), tables)
+        interp = interpret_constraints(next(constraints), tables.blueprints,
+                                       tables.macro_table)
+        equations.append((rel, tuple(interp.domains)))
+    return equations
+
+
+def test_rational_forms_are_never_written(tables, mini_corpus, monkeypatch):
+    # With every _Rat's polynomials read-only, any in-place write raises
+    # TypeError; the outcomes, steps included, are those of plain dicts.
+    equations = [(rel, domains) for _, rel, domains in
+                 _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
+
+    def outcomes():
+        return [_fields(verify_symbolic(rel, domains, default_config(tables)))
+                for rel, domains in equations]
+
+    plain = outcomes()
+
+    class ReadOnlyRat(normform._Rat):
+        def __init__(self, num, den):
+            super().__init__(types.MappingProxyType(num), types.MappingProxyType(den))
+
+    monkeypatch.setattr(normform, "_Rat", ReadOnlyRat)
+    assert outcomes() == plain
+    assert {CLASS_ZERO, CLASS_ONE, CLASS_UNSIMPLIFIED} <= {out[0] for out in plain}
 
 
 def test_expand_with_the_formula_memo_matches_a_fresh_expand(tables, mini_corpus):
@@ -1017,10 +1058,38 @@ def _user_rules(text, tables):
     (r"\sin@{var1}", "line 1: missing '->'"),
     ("\\sin@{var1} -> var1\n\n# a comment\n\\frac{var1 -> var1", "line 4: 1 unclosed group"),
     (r"\sin@{var1} -> var1 ? var1 >> 2", "line 1: bad condition 'var1 >> 2'"),
+    (r"\sin@{var1} -> var1 ? var1 > abc", "line 1: not a rational number: 'abc'"),
+    ("\n" r"\sin@{var1} -> var1 ? var1 > 1/0", "line 2: not a rational number: '1/0'"),
+    (r"\sin@{var1} -> var1 ? var2 > 0",
+     "line 1: condition on 'var2', which the pattern does not bind"),
+    (r"\sin@{var1} -> var1 ? var1 > 0, var real",
+     "line 1: condition on 'var', which the pattern does not bind"),
+    (r"\sin@{var1} -> var1 + var2",
+     "line 1: the pattern does not bind 'var2', which the replacement uses"),
 ])
 def test_malformed_user_rule_is_refused_with_its_line(tables, text, message):
     with pytest.raises(MalformedRule, match=message):
         _user_rules(text, tables)
+
+
+def test_rule_conditions_read_rational_values(tables):
+    rules = _user_rules(r"\sin@{var1} -> var1 ? var1 >= -3/2, var1 != 1.5, var1 real",
+                        tables)
+    assert rules[0].conditions == (("var1", "ge", Fraction(-3, 2)),
+                                   ("var1", "ne", Fraction(3, 2)), ("var1", "real", None))
+
+
+@pytest.mark.parametrize("condition", ["var1 > abc", "var1 > 1/0", "var2 > 0"])
+def test_cli_refuses_a_bad_rule_condition(tmp_path, capsys, condition):
+    from importlib import resources
+
+    from mathverify.cli import main
+    rules = tmp_path / "bad.rules"
+    rules.write_text(f"\\sin@{{var1}} -> var1 ? {condition}\n")
+    corpus = str(resources.files("mathverify").joinpath("data", "mini_corpus.jsonl"))
+    assert main(["report", "--corpus", corpus, "--rewrite-rules", str(rules)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 1: ") and captured.out == ""
 
 
 def test_user_rule_matches_under_a_negation(tables):

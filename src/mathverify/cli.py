@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from .extraction import (
     write_corpus,
 )
 from .pipeline import (
+    FAILURE_INTERNAL_ERROR,
     FORMAT_STRUCTURED,
     SETTINGS,
     PipelineOptions,
@@ -32,6 +34,8 @@ from .pipeline import (
 from .constraints import interpret_constraints
 from .parser import parse, tokenize
 from .translate import to_relation
+
+_log = logging.getLogger(__name__)
 
 
 def _common_options(sub: argparse.ArgumentParser) -> None:
@@ -102,6 +106,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
             text, status = "", exc.failure_kind
         except (MathVerifyError, NoDialectMapping) as exc:
             text, status = "", type(exc).__name__
+        except Exception:
+            # As in `pipeline.verify_record`: one record cannot stop the run.
+            _log.exception("record %s: internal error", record.id)
+            text, status = "", FAILURE_INTERNAL_ERROR
         sys.stdout.write(json.dumps(
             {"id": record.id, "status": status, "translation": text},
             ensure_ascii=True) + "\n")

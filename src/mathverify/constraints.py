@@ -105,7 +105,6 @@ class SpecialValueAssignment:
 
 @frozen
 class ConstraintBlueprint:
-    pattern: ParseNode
     pattern_tokens: tuple[Token, ...]
     placeholders: tuple[str, ...]
     values: tuple[Fraction, ...]
@@ -142,18 +141,16 @@ def parse_blueprint_rules(
             raise MalformedRule(f"line {lineno}: expected exactly one '==>'")
         left, right = (s.strip() for s in line.split("==>"))
         try:
-            tokens = tokenize(left, placeholders=True)
-            tree = parse(tokens, table)
+            flat = tuple(flatten_tokens(parse(tokenize(left, placeholders=True), table)))
         except MathVerifyError as exc:
             raise MalformedRule(f"line {lineno}: {exc}") from exc
-        flat = tuple(flatten_tokens(tree))
         placeholders: list[str] = []
         for t in flat:
             if is_placeholder_name(t.text) and t.text not in placeholders:
                 placeholders.append(t.text)
         values = tuple(parse_rational(v.strip()) for v in right.split(","))
         blueprints.append(
-            ConstraintBlueprint(tree, flat, tuple(placeholders), values, line)
+            ConstraintBlueprint(flat, tuple(placeholders), values, line)
         )
     return blueprints
 

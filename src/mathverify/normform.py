@@ -21,9 +21,12 @@ which every product passes through).  The two kinds hash and compare
 equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
 
-No code writes a `_Rat`'s two polynomial dicts once it is built (the
-one in-place write, `_poly_add_into`, fills a dict that `poly_add` or
-`poly_mul` has just made), so forms share them, and the memo keeps them.
+A normalized fraction has one form, `RatForm`, whose ``num`` and ``den``
+are the polynomial dicts normalization built, in no particular order;
+`emit` orders the terms.  No code writes those dicts once the form is
+built (the one in-place write, `_poly_add_into`, fills a dict that
+`poly_add` or `poly_mul` has just made), so forms share them, and the
+memo keeps them.
 
 A `NormContext` counts steps against a budget and carries the variable
 domains under which a power of a product splits (`_norm_pow`).  It is
@@ -41,7 +44,6 @@ per node, so each candidate of the formula runs them once per subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Sequence, TypeVar, Union
@@ -107,8 +109,8 @@ class NormMemo:
     keys the computation touched, so that a context reusing it can charge
     what computing it afresh would cost (`NormContext.charge`).
     `NormContext.reuse` fills and charges ``norms``, which maps a non-leaf
-    node to its `_norm` result (a `_Rat`, which no code writes, so the
-    entry is the result itself), ``computed``, which holds the Bessel
+    node to its `norm_plain` result (a `RatForm`, which no code writes, so
+    the entry is the result itself), ``computed``, which holds the Bessel
     pass's replacement maps keyed by the tuple of Bessel nodes they were
     computed from, and ``rewrites``, the rewriter's result per node, None
     where no rule fired in it.  ``canons`` maps a `canon` key to its
@@ -126,7 +128,7 @@ class NormMemo:
                  "bessel_nodes")
 
     def __init__(self):
-        # node -> (_Rat, own ticks, canon closure)
+        # node -> (RatForm, own ticks, canon closure)
         self.norms: dict[Expr, tuple] = {}
         # key -> (canonical IR, own ticks, canon closure including key)
         self.canons: dict[Expr, tuple] = {}
@@ -151,7 +153,7 @@ class NormContext:
     context, so a context counts each `canon` key's computation once: the
     set of keys it has charged is closed downward (with a key, every key
     its computation touched).  Without a memo that is all that is reused.  With a
-    `NormMemo`, `canon` and `reuse` results (`_norm`'s among them) computed
+    `NormMemo`, `canon` and `reuse` results (`norm_plain`'s among them) computed
     by earlier contexts are reused too, and each reuse is charged what a fresh
     computation would count here (`charge`), so ``steps`` and the point
     where the budget runs out do not depend on what the memo held.  The
@@ -220,26 +222,7 @@ class NormContext:
         return value
 
 
-@frozen
-class RatForm:
-    """A normalized fraction.  `_freeze` is the only place one is built,
-    so ``num`` and ``den`` are always in `_mono_sort_key` order.  Their
-    coefficients and rational exponents are `Rat`: int when integral,
-    Fraction otherwise."""
-
-    num: tuple[tuple[Mono, Rat], ...]
-    den: tuple[tuple[Mono, Rat], ...]
-
-
-def _freeze(num: Poly, den: Poly) -> RatForm:
-    return RatForm(
-        tuple(sorted(num.items(), key=lambda kv: _mono_sort_key(kv[0]))),
-        tuple(sorted(den.items(), key=lambda kv: _mono_sort_key(kv[0]))),
-    )
-
-
 ONE_POLY: Poly = {EMPTY_MONO: 1}
-_ONE_TERMS = tuple(ONE_POLY.items())
 
 
 def const_poly(value: Rat) -> Poly:
@@ -313,10 +296,10 @@ def _exact_root(n: int, k: int) -> Optional[int]:
 
 
 def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly:
-    """Fold special atoms of a raw monomial and expand Pythagorean powers."""
+    """Fold special atoms of a raw monomial and expand Pythagorean powers.
+    ``coef`` is nonzero, and stays so: a ``Number`` atom is positive
+    (`_norm_pow`), so folding one multiplies by a nonzero value."""
     ctx.tick()
-    if coef == 0:
-        return {}
     factors: list[Poly] = []
     clean: dict[Expr, ExpKey] = {}
     for atom, exp in entries.items():
@@ -345,13 +328,13 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly
         if isinstance(atom, (Add, Mul)) and exp.denominator == 1:
             # A compound base whose exponents merged to an integer
             # re-expands into a genuine polynomial when that is exact.
-            r = _rat_pow(_norm(atom, ctx), int(exp), ctx)
+            r = _rat_pow(norm_plain(atom, ctx), int(exp), ctx)
             if r.den == ONE_POLY:
                 factors.append(r.num)
                 continue
         if isinstance(atom, Pow) and exp.denominator == 1 and exp != 1:
             # (w^e)^k = w^(e k) holds for integer k on principal branches.
-            combined = _norm(
+            combined = norm_plain(
                 Pow(atom.base, ir.mul(Number(exp), atom.exponent)), ctx
             )
             if combined.den == ONE_POLY:
@@ -369,8 +352,6 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly
                 clean[atom] = 1
             continue
         clean[atom] = exp
-    if coef == 0:
-        return {}
     mono = tuple(sorted(clean.items(), key=lambda kv: ir.sort_key(kv[0])))
     result: Poly = {mono: coef}
     for f in factors:
@@ -413,8 +394,7 @@ def poly_mul(p: Poly, q: Poly, ctx: NormContext) -> Poly:
 
 
 def poly_pow(p: Poly, n: int, ctx: NormContext) -> Poly:
-    if n < 0:
-        raise ValueError("poly_pow needs a nonnegative exponent")
+    """``p**n`` for n >= 0."""
     if n > POWER_CAP:
         raise BudgetExceeded(f"power {n} exceeds the expansion cap {POWER_CAP}")
     result = ONE_POLY
@@ -436,66 +416,69 @@ class _ZeroDenominator(SymbolicError):
     pass
 
 
-@dataclass
-class _Rat:
+@frozen
+class RatForm:
+    """A normalized fraction num/den.  The dicts are never written once
+    the form is built, and their terms are in no particular order: `emit`
+    sorts them.  Coefficients and rational exponents are `Rat`: int when
+    integral, Fraction otherwise."""
+
     num: Poly
     den: Poly
 
 
-def _rat_const(value: Rat) -> _Rat:
-    return _Rat(const_poly(value), ONE_POLY)
+def _rat_const(value: Rat) -> RatForm:
+    return RatForm(const_poly(value), ONE_POLY)
 
 
-def _rat_add(a: _Rat, b: _Rat, ctx: NormContext) -> _Rat:
+def _rat_add(a: RatForm, b: RatForm, ctx: NormContext) -> RatForm:
     if a.den == b.den:
-        return _Rat(poly_add(a.num, b.num), a.den)
-    return _Rat(
+        return RatForm(poly_add(a.num, b.num), a.den)
+    return RatForm(
         poly_add(poly_mul(a.num, b.den, ctx), poly_mul(b.num, a.den, ctx)),
         poly_mul(a.den, b.den, ctx),
     )
 
 
-def _rat_mul(a: _Rat, b: _Rat, ctx: NormContext) -> _Rat:
-    return _Rat(poly_mul(a.num, b.num, ctx), poly_mul(a.den, b.den, ctx))
+def _rat_mul(a: RatForm, b: RatForm, ctx: NormContext) -> RatForm:
+    return RatForm(poly_mul(a.num, b.num, ctx), poly_mul(a.den, b.den, ctx))
 
 
-def _rat_inv(a: _Rat, ctx: NormContext) -> _Rat:
+def _rat_inv(a: RatForm, ctx: NormContext) -> RatForm:
     if not a.num:
         raise _ZeroDenominator("division by an expression that normalizes to zero")
     if len(a.num) == 1:
         (mono, coef), = a.num.items()
         inv_poly = {_mono_inverse(mono, ctx): Fraction(1) / coef}
-        return _Rat(poly_mul(a.den, inv_poly, ctx), ONE_POLY)
-    return _Rat(a.den, a.num)
+        return RatForm(poly_mul(a.den, inv_poly, ctx), ONE_POLY)
+    return RatForm(a.den, a.num)
 
 
-def _rat_pow(a: _Rat, n: int, ctx: NormContext) -> _Rat:
+def _rat_pow(a: RatForm, n: int, ctx: NormContext) -> RatForm:
     if n < 0:
         return _rat_pow(_rat_inv(a, ctx), -n, ctx)
-    return _Rat(poly_pow(a.num, n, ctx), poly_pow(a.den, n, ctx))
+    return RatForm(poly_pow(a.num, n, ctx), poly_pow(a.den, n, ctx))
 
 
-def _atom_rat(atom: Expr, exp: ExpKey = 1) -> _Rat:
-    if isinstance(exp, _RAT) and exp == 0:
-        return _rat_const(1)
-    return _Rat({((atom, exp),): 1}, ONE_POLY)
+def _atom_rat(atom: Expr, exp: ExpKey = 1) -> RatForm:
+    """atom**exp for a nonzero exponent."""
+    return RatForm({((atom, exp),): 1}, ONE_POLY)
 
 
 # --- normalization ---
 
 def norm(expr: Expr, ctx: Optional[NormContext] = None) -> RatForm:
     ctx = ctx or NormContext()
-    rat = _norm(expr, ctx)
-    rat = _gamma_reflect(rat, ctx)
-    return _freeze(rat.num, rat.den)
+    return _gamma_reflect(norm_plain(expr, ctx), ctx)
 
 
 _LEAVES = (Number, Const, Var)
 
 
-def _norm(expr: Expr, ctx: NormContext) -> _Rat:
-    """`_norm_node`, reused through the context's memo (`NormContext.reuse`)
-    for a non-leaf node when the context has one."""
+def norm_plain(expr: Expr, ctx: NormContext) -> RatForm:
+    """Normalize without the gamma reflection pass: `_norm_node`, reused
+    through the context's memo (`NormContext.reuse`) for a non-leaf node
+    when the context has one."""
     memo = ctx.memo
     if memo is None or isinstance(expr, _LEAVES):
         return _norm_node(expr, ctx)
@@ -518,7 +501,7 @@ def _close(touched: list[frozenset], start: int, key: Optional[Expr] = None) -> 
     return keys
 
 
-def _norm_node(expr: Expr, ctx: NormContext) -> _Rat:
+def _norm_node(expr: Expr, ctx: NormContext) -> RatForm:
     ctx.tick()
     if isinstance(expr, Number):
         return _rat_const(expr.value)
@@ -529,15 +512,15 @@ def _norm_node(expr: Expr, ctx: NormContext) -> _Rat:
     if isinstance(expr, Add):
         total = _rat_const(0)
         for t in expr.terms:
-            total = _rat_add(total, _norm(t, ctx), ctx)
+            total = _rat_add(total, norm_plain(t, ctx), ctx)
         return total
     if isinstance(expr, Mul):
         prod = _rat_const(1)
         for f in expr.factors:
-            prod = _rat_mul(prod, _norm(f, ctx), ctx)
+            prod = _rat_mul(prod, norm_plain(f, ctx), ctx)
         return prod
     if isinstance(expr, Neg):
-        return _rat_mul(_rat_const(-1), _norm(expr.operand, ctx), ctx)
+        return _rat_mul(_rat_const(-1), norm_plain(expr.operand, ctx), ctx)
     if isinstance(expr, Pow):
         return _norm_pow(expr, ctx)
     if isinstance(expr, FunctionApp):
@@ -549,10 +532,10 @@ def _norm_node(expr: Expr, ctx: NormContext) -> _Rat:
     raise SymbolicError(f"cannot normalize {expr!r}")
 
 
-def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
-    exp_rat = _norm(expr.exponent, ctx)
-    exp_expr = emit(_freeze(exp_rat.num, exp_rat.den))
-    base_rat = _norm(expr.base, ctx)
+def _norm_pow(expr: Pow, ctx: NormContext) -> RatForm:
+    exp_rat = norm_plain(expr.exponent, ctx)
+    exp_expr = emit(exp_rat)
+    base_rat = norm_plain(expr.base, ctx)
     if isinstance(exp_expr, Number) and exp_expr.value.denominator == 1:
         return _rat_pow(base_rat, int(exp_expr.value), ctx)
     # Non-integer exponent: principal value.
@@ -562,7 +545,7 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
             return _rat_const(0)
         raise _ZeroDenominator(
             "zero base with an exponent of no known positive real part")
-    base_expr = emit(_freeze(base_rat.num, base_rat.den))
+    base_expr = emit(base_rat)
     if base_expr == ir.ONE:
         return _rat_const(1)
     if isinstance(base_expr, Number):
@@ -598,7 +581,7 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> _Rat:
 _I_MONO: Mono = ((Const(ir.IMAGINARY_UNIT), 1),)
 
 
-def _positive_real_part(rat: _Rat) -> bool:
+def _positive_real_part(rat: RatForm) -> bool:
     """Whether a normal form is a + b i with rational a > 0, an exponent
     for which the principal value of 0^(a + b i) is 0."""
     return rat.den == ONE_POLY and rat.num.keys() <= {EMPTY_MONO, _I_MONO} \
@@ -618,8 +601,7 @@ def canon(expr: Expr, ctx: NormContext) -> Expr:
             ctx._touched.append(memo.canons[expr][2])
         return cached
     if memo is None:
-        rat = _norm(expr, ctx)
-        result = ctx._canon_memo[expr] = emit(_freeze(rat.num, rat.den))
+        result = ctx._canon_memo[expr] = emit(norm_plain(expr, ctx))
         return result
     hit = memo.canons.get(expr)
     if hit is not None:
@@ -630,8 +612,7 @@ def canon(expr: Expr, ctx: NormContext) -> Expr:
     touched = ctx._touched
     start = len(touched)
     steps, canon_ticks = ctx.steps, ctx._canon_ticks
-    rat = _norm(expr, ctx)
-    result = emit(_freeze(rat.num, rat.den))
+    result = emit(norm_plain(expr, ctx))
     own = ctx.steps - steps - (ctx._canon_ticks - canon_ticks)
     memo.canons[expr] = (result, own, _close(touched, start, expr))
     ctx._canon_memo[expr] = result
@@ -641,11 +622,11 @@ def canon(expr: Expr, ctx: NormContext) -> Expr:
 
 # --- function-atom canonicalization ---
 
-def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
+def _norm_function(expr: FunctionApp, ctx: NormContext) -> RatForm:
     func = expr.func
     if func == "binomial":
         a, b = expr.args
-        return _norm(
+        return norm_plain(
             ir.div(
                 FunctionApp("gamma", (), (ir.add(a, ir.ONE),)),
                 ir.mul(
@@ -662,9 +643,9 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
                 0 <= n_c.value <= _MAX_HYPER_UNROLL * 2:
             prod = _rat_const(1)
             for k in range(int(n_c.value)):
-                prod = _rat_mul(prod, _norm(ir.add(a, ir.num(k)), ctx), ctx)
+                prod = _rat_mul(prod, norm_plain(ir.add(a, ir.num(k)), ctx), ctx)
             return prod
-        return _norm(
+        return norm_plain(
             ir.div(
                 FunctionApp("gamma", (), (ir.add(a, n),)),
                 FunctionApp("gamma", (), (a,)),
@@ -678,64 +659,53 @@ def _norm_function(expr: FunctionApp, ctx: NormContext) -> _Rat:
     if func == "elliptic_k" or func == "elliptic_e":
         m = canon(expr.args[0], ctx)
         if m == ir.ZERO:
-            return _norm(ir.div(Const(ir.PI), ir.num(2)), ctx)
+            return norm_plain(ir.div(Const(ir.PI), ir.num(2)), ctx)
         if func == "elliptic_e" and m == ir.ONE:
             return _rat_const(1)
         return _atom_rat(FunctionApp(func, (), (m,)))
     params = tuple(canon(p, ctx) for p in expr.params)
     args = tuple(canon(a, ctx) for a in expr.args)
-    if func in ODD_FUNCTIONS and len(args) == 1 and not params:
-        arg_rat = _norm(args[0], ctx)
+    if (func in ODD_FUNCTIONS or func in EVEN_FUNCTIONS) and len(args) == 1 \
+            and not params:
+        arg_rat = norm_plain(args[0], ctx)
         if _leading_negative(arg_rat):
-            flipped = emit(_freeze(*_neg_parts(arg_rat, ctx)))
-            return _rat_mul(
-                _rat_const(-1),
-                _atom_rat(FunctionApp(func, (), (flipped,))),
-                ctx,
-            )
-    if func in EVEN_FUNCTIONS and len(args) == 1 and not params:
-        arg_rat = _norm(args[0], ctx)
-        if _leading_negative(arg_rat):
-            flipped = emit(_freeze(*_neg_parts(arg_rat, ctx)))
-            return _atom_rat(FunctionApp(func, (), (flipped,)))
+            flipped = RatForm(poly_mul(arg_rat.num, const_poly(-1), ctx), arg_rat.den)
+            atom = _atom_rat(FunctionApp(func, (), (emit(flipped),)))
+            return _rat_mul(_rat_const(-1), atom, ctx) if func in ODD_FUNCTIONS \
+                else atom
     return _atom_rat(FunctionApp(func, params, args))
 
 
-def _neg_parts(rat: _Rat, ctx: NormContext) -> tuple[Poly, Poly]:
-    return poly_mul(rat.num, const_poly(-1), ctx), rat.den
-
-
-def _leading_negative(rat: _Rat) -> bool:
+def _leading_negative(rat: RatForm) -> bool:
     if not rat.num:
         return False
     lead = min(rat.num.items(), key=lambda kv: _mono_sort_key(kv[0]))
     return lead[1] < 0
 
 
-def _norm_gamma(arg: Expr, ctx: NormContext) -> _Rat:
-    arg_rat = _norm(arg, ctx)
+def _norm_gamma(arg: Expr, ctx: NormContext) -> RatForm:
+    arg_rat = norm_plain(arg, ctx)
     if arg_rat.den != ONE_POLY:
-        return _atom_rat(FunctionApp("gamma", (), (emit(_freeze(arg_rat.num, arg_rat.den)),)))
+        return _atom_rat(FunctionApp("gamma", (), (emit(arg_rat),)))
     poly = arg_rat.num
     c = poly.get(EMPTY_MONO, 0)
-    nonconst = {m: v for m, v in poly.items() if m != EMPTY_MONO}
-    if not nonconst:
+    if poly.keys() <= {EMPTY_MONO}:
         return _gamma_constant(c, ctx)
     shift = _floor_fraction(c)
     if shift == 0 or abs(shift) > _MAX_GAMMA_SHIFT:
-        return _atom_rat(FunctionApp("gamma", (), (emit(_freeze(poly, ONE_POLY)),)))
+        return _atom_rat(FunctionApp("gamma", (), (emit(arg_rat),)))
     rep_poly = poly_add(poly, const_poly(-shift))
-    atom = FunctionApp("gamma", (), (emit(_freeze(rep_poly, ONE_POLY)),))
+    atom = FunctionApp("gamma", (), (emit(RatForm(rep_poly, ONE_POLY)),))
     result = _atom_rat(atom)
     if shift > 0:
         # Gamma(u + k) = (u+k-1)...(u) Gamma(u)
         for j in range(1, shift + 1):
-            factor = _Rat(poly_add(poly, const_poly(-j)), ONE_POLY)
+            factor = RatForm(poly_add(poly, const_poly(-j)), ONE_POLY)
             result = _rat_mul(result, factor, ctx)
     else:
         # Gamma(u - k) = Gamma(u) / ((u-k)(u-k+1)...(u-1))
         for j in range(0, -shift):
-            factor = _Rat(poly_add(poly, const_poly(j)), ONE_POLY)
+            factor = RatForm(poly_add(poly, const_poly(j)), ONE_POLY)
             result = _rat_mul(result, _rat_inv(factor, ctx), ctx)
     return result
 
@@ -744,7 +714,7 @@ def _floor_fraction(c: Rat) -> int:
     return c.numerator // c.denominator
 
 
-def _gamma_constant(c: Rat, ctx: NormContext) -> _Rat:
+def _gamma_constant(c: Rat, ctx: NormContext) -> RatForm:
     shift = _floor_fraction(c)
     # The folded value is a product of |shift| factors, none larger than
     # c in numerator or denominator, so it is bounded like c**shift.
@@ -754,7 +724,6 @@ def _gamma_constant(c: Rat, ctx: NormContext) -> _Rat:
     if c.denominator == 1:
         return _rat_const(factorial(int(c) - 1))
     rep = c - shift
-    result: _Rat
     if rep == Fraction(1, 2):
         result = _atom_rat(Const(ir.PI), Fraction(1, 2))
     else:
@@ -772,7 +741,7 @@ def _gamma_constant(c: Rat, ctx: NormContext) -> _Rat:
     return result
 
 
-def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
+def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> RatForm:
     p = int(expr.params[0].value)  # type: ignore[union-attr]
     q = int(expr.params[1].value)  # type: ignore[union-attr]
     numerator = [canon(a, ctx) for a in expr.args[:p]]
@@ -794,7 +763,7 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
     numerator, denominator = num_left, den_left
     p, q = len(numerator), len(denominator)
     if p == 0 and q == 0:
-        return _norm(ir.power(Const(ir.EULER_E), z), ctx)
+        return norm_plain(ir.power(Const(ir.EULER_E), z), ctx)
     terminating = [
         int(-a.value) for a in numerator
         if isinstance(a, Number) and a.value.denominator == 1 and a.value <= 0
@@ -809,7 +778,7 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
             for b in denominator:
                 term = ir.div(term, FunctionApp("pochhammer", (), (b, ir.num(k))))
             total = ir.add(total, term)
-        return _norm(total, ctx)
+        return norm_plain(total, ctx)
     atom = FunctionApp(
         "genhyper",
         (ir.num(p), ir.num(q)),
@@ -820,7 +789,7 @@ def _norm_genhyper(expr: FunctionApp, ctx: NormContext) -> _Rat:
     return _atom_rat(atom)
 
 
-def _norm_bigop(expr: BigOp, ctx: NormContext) -> _Rat:
+def _norm_bigop(expr: BigOp, ctx: NormContext) -> RatForm:
     lo = canon(expr.lo, ctx) if expr.lo is not None else None
     hi = canon(expr.hi, ctx) if expr.hi is not None else None
     if expr.kind in (ir.OP_SUM, ir.OP_PROD) and isinstance(lo, Number) and \
@@ -830,7 +799,7 @@ def _norm_bigop(expr: BigOp, ctx: NormContext) -> _Rat:
         if 0 <= span <= _MAX_BIGOP_UNROLL:
             acc = _rat_const(0 if expr.kind == ir.OP_SUM else 1)
             for k in range(int(lo.value), int(hi.value) + 1):
-                piece = _norm(
+                piece = norm_plain(
                     ir.substitute(expr.body, {expr.var: ir.num(k)}), ctx
                 )
                 acc = _rat_add(acc, piece, ctx) if expr.kind == ir.OP_SUM \
@@ -867,23 +836,17 @@ def _gamma_pairs(mono: Mono, ctx: NormContext) -> Optional[tuple[int, int, Expr,
     return None
 
 
-def norm_plain(expr: Expr, ctx: NormContext) -> RatForm:
-    """Normalize without the reflection pass (used internally by it)."""
-    rat = _norm(expr, ctx)
-    return _freeze(rat.num, rat.den)
-
-
-def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
+def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[RatForm, bool]:
     # With no monomial holding two gamma atoms nothing can pair, and the
     # term-by-term rebuild below would only copy ``p`` (with no ticks).
     if all(len(_gamma_atoms(mono)) < 2 for mono in p):
-        return _Rat(p, ONE_POLY), False
+        return RatForm(p, ONE_POLY), False
     changed = False
-    total = _Rat({}, ONE_POLY)
+    total = RatForm({}, ONE_POLY)
     for mono, coef in p.items():
         pair = _gamma_pairs(mono, ctx)
         if pair is None:
-            total = _rat_add(total, _Rat({mono: coef}, ONE_POLY), ctx)
+            total = _rat_add(total, RatForm({mono: coef}, ONE_POLY), ctx)
             continue
         changed = True
         i, j, u, m = pair
@@ -904,13 +867,13 @@ def _reflect_poly(p: Poly, ctx: NormContext) -> tuple[_Rat, bool]:
         )
         if m == 0:
             replacement = _rat_mul(replacement, _rat_const(-1), ctx)
-            replacement = _rat_mul(replacement, _rat_inv(_norm(u, ctx), ctx), ctx)
-        piece = _rat_mul(_Rat({tuple(rest): coef}, ONE_POLY), replacement, ctx)
+            replacement = _rat_mul(replacement, _rat_inv(norm_plain(u, ctx), ctx), ctx)
+        piece = _rat_mul(RatForm({tuple(rest): coef}, ONE_POLY), replacement, ctx)
         total = _rat_add(total, piece, ctx)
     return total, changed
 
 
-def _gamma_reflect(rat: _Rat, ctx: NormContext) -> _Rat:
+def _gamma_reflect(rat: RatForm, ctx: NormContext) -> RatForm:
     for _ in range(8):
         num_rat, ch1 = _reflect_poly(rat.num, ctx)
         den_rat, ch2 = _reflect_poly(rat.den, ctx)
@@ -924,8 +887,10 @@ def _gamma_reflect(rat: _Rat, ctx: NormContext) -> _Rat:
 # --- emission ---
 
 def emit(rf: RatForm) -> Expr:
+    """The IR of a normal form, its terms in `_mono_sort_key` order, so
+    equal forms emit equal IR whatever order their dicts hold."""
     num = _emit_poly(rf.num)
-    if rf.den == _ONE_TERMS:
+    if rf.den == ONE_POLY:
         return num
     if not rf.num:
         return ir.ZERO
@@ -933,12 +898,11 @@ def emit(rf: RatForm) -> Expr:
     return ir.mul(num, ir.power(den, ir.MINUS_ONE))
 
 
-def _emit_poly(items: tuple[tuple[Mono, Rat], ...]) -> Expr:
-    """Emit the frozen items of a polynomial in their stored order."""
-    if not items:
+def _emit_poly(poly: Poly) -> Expr:
+    if not poly:
         return ir.ZERO
     terms = []
-    for mono, coef in items:
+    for mono, coef in sorted(poly.items(), key=lambda kv: _mono_sort_key(kv[0])):
         factors: list[Expr] = []
         if coef != 1 or not mono:
             factors.append(Number(coef))
@@ -955,12 +919,12 @@ def is_zero_form(rf: RatForm) -> bool:
 
 
 def is_one_form(rf: RatForm) -> bool:
-    return dict(rf.num) == dict(rf.den)
+    return rf.num == rf.den
 
 
 def constant_value(rf: RatForm) -> Optional[Fraction]:
-    num, den = dict(rf.num), dict(rf.den)
-    if set(num) <= {EMPTY_MONO} and set(den) <= {EMPTY_MONO}:
+    num, den = rf.num, rf.den
+    if num.keys() <= {EMPTY_MONO} and den.keys() <= {EMPTY_MONO}:
         n = num.get(EMPTY_MONO, 0)
         d = den.get(EMPTY_MONO, 0)
         if d != 0:

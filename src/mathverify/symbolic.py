@@ -596,8 +596,9 @@ def simplify(expr: Expr, config: Optional[SimplifyConfig] = None,
              ) -> tuple[SymbolicOutcome, Optional[RatForm]]:
     """Normalize one expression and classify the result against the
     configured target (0 for differences, 1 for quotients).  The second
-    element is the normal form (`normform.emit` turns it into IR), or
-    None when normalization stopped.
+    element is the normal form, the `RatForm` that `norm` built (`emit`
+    turns it into IR, its terms in order), or None when normalization
+    stopped.
 
     The passes count on one `NormContext`: the rewrite rules may take a
     tenth of ``rewrite_step_budget`` (at least one step), and the Bessel

@@ -79,7 +79,7 @@ SAMPLES = {
     Token: _TOKEN_ARGS,
     SemanticMacroDef: ("\\sin", 0, 0, 1, "single", "sin", "4.14.1"),
     ParseNode: _GROUP_ARGS,
-    RatForm: (((((_X, 1),), 2),), ((EMPTY_MONO, 1),)),
+    RatForm: ({((_X, 1),): 2}, {EMPTY_MONO: 1}),
     FormulaRecord: ("EF.1", "EF", "x = x", ("x > 0",), "eq:1", 3, None),
     PreambleMacro: _MACRO_ARGS,
     ChapterSource: ("EF", "\\begin{equation}x\\end{equation}",
@@ -88,7 +88,7 @@ SAMPLES = {
     VariableDomain: ("x", BASE_REAL, (Fraction(0), True, None, False), None, None,
                      (Fraction(1),)),
     SpecialValueAssignment: ((("x", Fraction(1)),), "x = 1"),
-    ConstraintBlueprint: (_GROUP, (_TOKEN,), ("var1",), (Fraction(1),), "var1 = 1"),
+    ConstraintBlueprint: ((_TOKEN,), ("var1",), (Fraction(1),), "var1 = 1"),
     RewriteRule: (Var("var1"), Var("var1"), (("var1", "ge", Fraction(0)),), "r"),
     TranslationEntry: ("sin", "sin", "sin", True, "none", "notes"),
 }
@@ -206,7 +206,7 @@ def test_number_coerces_its_value():
     (lambda: FormulaRecord("XX.1", "XX", "x = x"), MathVerifyError),
     (lambda: VariableDomain("x", BASE_REAL, (None, False, None, False),
                             (Fraction(0), Fraction(1), None)), MathVerifyError),
-    (lambda: ConstraintBlueprint(_GROUP, (_TOKEN,), (), (), "x"), MalformedRule),
+    (lambda: ConstraintBlueprint((_TOKEN,), (), (), "x"), MalformedRule),
 ], ids=["Const", "Derivative", "Relation", "FormulaRecord", "VariableDomain",
         "ConstraintBlueprint"])
 def test_post_init_checks_still_raise(build, error):

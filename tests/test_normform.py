@@ -6,6 +6,7 @@ against contexts without one."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,9 @@ from mathverify.normform import (
     ONE_POLY,
     NormContext,
     NormMemo,
+    RatForm,
     _exact_rational_pow,
     _exact_root,
-    _freeze,
     _mono_sort_key,
     canon,
     constant_value,
@@ -65,7 +66,7 @@ def _copying_poly_mul(p, q, ctx):
 
 
 def _sorting_emit(rf):
-    """emit as it was: each polynomial sorted again before emission."""
+    """emit written out: each polynomial sorted, then emitted."""
 
     def emit_poly(p):
         if not p:
@@ -81,12 +82,12 @@ def _sorting_emit(rf):
             terms.append(ir.mul(*factors) if len(factors) != 1 else factors[0])
         return ir.add(*terms) if len(terms) != 1 else terms[0]
 
-    num = emit_poly(dict(rf.num))
-    if dict(rf.den) == ONE_POLY:
+    num = emit_poly(rf.num)
+    if rf.den == ONE_POLY:
         return num
-    if not dict(rf.num):
+    if not rf.num:
         return ir.ZERO
-    return ir.mul(num, ir.power(emit_poly(dict(rf.den)), ir.MINUS_ONE))
+    return ir.mul(num, ir.power(emit_poly(rf.den), ir.MINUS_ONE))
 
 
 @settings(max_examples=150, deadline=None)
@@ -105,9 +106,21 @@ def test_poly_mul_matches_the_copying_loop(p, q):
 @settings(max_examples=150, deadline=None)
 @given(_polys, _polys)
 def test_emit_matches_sort_then_emit(p, q):
-    for rf in (_freeze(p, ONE_POLY), _freeze(p, q or ONE_POLY),
-               norm(ir.add(_sorting_emit(_freeze(p, ONE_POLY)), _Y))):
+    for rf in (RatForm(p, ONE_POLY), RatForm(p, q or ONE_POLY),
+               norm(ir.add(_sorting_emit(RatForm(p, ONE_POLY)), _Y))):
         assert emit(rf) == _sorting_emit(rf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_emit_does_not_depend_on_insertion_order(p, q):
+    # A RatForm's dicts keep the order normalization built them in; two
+    # forms with the same terms inserted in opposite orders emit equal IR.
+    q = q or ONE_POLY
+    forward = RatForm(dict(p.items()), dict(q.items()))
+    backward = RatForm(dict(reversed(p.items())), dict(reversed(q.items())))
+    assert forward == backward
+    assert emit(forward) == emit(backward)
 
 
 def test_huge_exact_powers_stay_symbolic():
@@ -153,8 +166,8 @@ def test_gamma_reflection_hands_back_a_polynomial_without_gamma_pairs():
     # denominator come back as they are, and no step is taken.
     gamma_x = FunctionApp("gamma", (), (_X,))
     ctx = NormContext()
-    rat = normform._norm(ir.div(ir.power(ir.add(gamma_x, _Y, Var("z")), ir.num(6)),
-                                ir.add(gamma_x, ir.ONE)), ctx)
+    rat = normform.norm_plain(ir.div(ir.power(ir.add(gamma_x, _Y, Var("z")), ir.num(6)),
+                                     ir.add(gamma_x, ir.ONE)), ctx)
     steps = ctx.steps
     assert len(rat.num) == 28
     assert normform._gamma_reflect(rat, ctx) is rat
@@ -167,9 +180,61 @@ def test_gamma_reflection_hands_back_a_polynomial_without_gamma_pairs():
         "sin", (), (ir.mul(Const(ir.PI), _X),))))
 
 
+_I = Const(ir.IMAGINARY_UNIT)
+_PI = Const(ir.PI)
+
+
+def _fn(name, *args, params=()):
+    return FunctionApp(name, tuple(ir.num(p) for p in params), args)
+
+
+# An expression and a simpler one with the same normal form, for the
+# special values and folds no corpus formula reaches.
+_SPECIAL_VALUES = {
+    # Symbolic exponents that merge to 4: i^4 = 1.
+    "imaginary_unit_to_the_fourth": (
+        ir.mul(ir.Pow(_I, _X), ir.Pow(_I, ir.sub(ir.num(4), _X))), ir.ONE),
+    # Gamma(-1/2) = Gamma(1/2) / (-1/2) = -2 sqrt(pi).
+    "gamma_of_minus_one_half": (
+        _gamma(Fraction(-1, 2)), ir.mul(ir.num(-2), ir.power(_PI, ir.HALF))),
+    # Gamma(7/3) = (4/3)(1/3) Gamma(1/3).
+    "gamma_of_seven_thirds": (
+        _gamma(Fraction(7, 3)), ir.mul(ir.num(Fraction(4, 9)), _gamma(Fraction(1, 3)))),
+    "elliptic_e_at_one": (_fn("elliptic_e", ir.ONE), ir.ONE),
+    # An upper parameter 0 ends the series at its first term.
+    "genhyper_with_a_zero_upper_parameter": (
+        _fn("genhyper", ir.ZERO, _Y, Var("c"), _X, params=(2, 1)), ir.ONE),
+    # A parameter both upper and lower cancels: 2F1(a, y; a; x) = 1F0(y;; x).
+    "genhyper_with_a_cancelling_pair": (
+        _fn("genhyper", Var("a"), _Y, Var("a"), _X, params=(2, 1)),
+        _fn("genhyper", _Y, _X, params=(1, 0))),
+    # Gamma(x)^2 Gamma(1-x) = Gamma(x) pi / sin(pi x): the pair leaves one
+    # Gamma(x) behind.
+    "gamma_pair_with_a_squared_member": (
+        ir.mul(ir.Pow(FunctionApp("gamma", (), (_X,)), ir.num(2)),
+               FunctionApp("gamma", (), (ir.sub(ir.ONE, _X),))),
+        ir.div(ir.mul(_PI, FunctionApp("gamma", (), (_X,))),
+               _fn("sin", ir.mul(_PI, _X)))),
+}
+
+
+@pytest.mark.parametrize("expr, expected", _SPECIAL_VALUES.values(), ids=_SPECIAL_VALUES)
+def test_special_values_normalize(expr, expected):
+    assert norm(expr) == norm(expected)
+
+
+def test_atoms_that_stay_as_they_are():
+    # sin is odd, but its argument 0 has no leading term to flip.
+    assert emit(norm(_fn("sin", ir.ZERO))) == _fn("sin", ir.ZERO)
+    # A gamma argument with a non-constant denominator is not shifted.
+    arg = ir.div(ir.ONE, ir.add(_X, ir.ONE))
+    assert emit(norm(FunctionApp("gamma", (), (arg,)))) == \
+        FunctionApp("gamma", (), (emit(norm(arg)),))
+
+
 def _check_storage(rf):
     """Integral coefficients and exponents are int, the others Fraction."""
-    for mono, coef in rf.num + rf.den:
+    for mono, coef in (*rf.num.items(), *rf.den.items()):
         for value in (coef, *(e for _, e in mono if not isinstance(e, ir.Expr))):
             assert type(value) is (int if value.denominator == 1 else Fraction), value
 

@@ -761,6 +761,21 @@ def test_cli_flags_list_a_record_that_raises(tmp_path, mini_corpus, capsys):
                          "suspected_reason": "engine_error"}
 
 
+def test_cli_translate_goes_on_past_a_record_that_raises(tmp_path, mini_corpus,
+                                                       capsys, caplog):
+    from mathverify.cli import main
+    corpus = tmp_path / "corpus.jsonl"
+    records = mini_corpus[:3] + [DEEP] + mini_corpus[3:5]
+    write_corpus(records, corpus)
+    assert main(["translate", "--corpus", str(corpus)]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [l["id"] for l in lines] == [r.id for r in records]
+    assert lines[3] == {"id": "EF.999", "status": "internal_error", "translation": ""}
+    assert all(l["status"] == "ok" for l in lines[:3] + lines[4:])
+    assert "record EF.999: internal error" in caplog.text
+    assert "RecursionError" in caplog.text
+
+
 def test_cli_translate(capsys):
     from mathverify.cli import main
     assert main(["translate", "--corpus", MINI, "--chapter", "GA"]) == 0

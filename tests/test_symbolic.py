@@ -1006,7 +1006,7 @@ def _fuzz_equations(tables):
 
 
 def test_rational_forms_are_never_written(tables, mini_corpus, monkeypatch):
-    # With every _Rat's polynomials read-only, any in-place write raises
+    # With every RatForm's polynomials read-only, any in-place write raises
     # TypeError; the outcomes, steps included, are those of plain dicts.
     equations = [(rel, domains) for _, rel, domains in
                  _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
@@ -1017,11 +1017,11 @@ def test_rational_forms_are_never_written(tables, mini_corpus, monkeypatch):
 
     plain = outcomes()
 
-    class ReadOnlyRat(normform._Rat):
+    class ReadOnlyForm(normform.RatForm):
         def __init__(self, num, den):
             super().__init__(types.MappingProxyType(num), types.MappingProxyType(den))
 
-    monkeypatch.setattr(normform, "_Rat", ReadOnlyRat)
+    monkeypatch.setattr(normform, "RatForm", ReadOnlyForm)
     assert outcomes() == plain
     assert {CLASS_ZERO, CLASS_ONE, CLASS_UNSIMPLIFIED} <= {out[0] for out in plain}
 

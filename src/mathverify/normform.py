@@ -21,6 +21,12 @@ which every product passes through).  The two kinds hash and compare
 equal, so monomial keys merge either way.  ``Number.value`` is always a
 ``Fraction``: `emit` builds ``Number``, which converts.
 
+Most products in normalization have a one-term constant factor (a
+product's start, a negation, a denominator of 1).  `poly_mul` scales by
+it without `mono_mul` where no monomial of the other factor would fold
+(`_settled`), charging the loop's 2 ticks per term: ``steps`` and where
+a budget runs out stay the same.
+
 A normalized fraction has one form, `RatForm`, whose ``num`` and ``den``
 are the polynomial dicts normalization built, in no particular order;
 `emit` orders the terms.  No code writes those dicts once the form is
@@ -384,7 +390,40 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def _settled(mono: Mono) -> bool:
+    """Whether `_post_mono` hands ``mono`` back unchanged after one tick:
+    each exponent symbolic, or, on a non-``Number`` atom, non-integral, 1
+    on a non-``Add``/``Mul``, or another nonzero integer on an atom not
+    ``Add``, ``Mul``, ``Pow``, ``Const`` or sin/sinh to a power >= 2.  An
+    integral ``Fraction`` exponent counts as its integer."""
+    for atom, exp in mono:
+        if not isinstance(exp, _RAT):
+            continue
+        if isinstance(atom, Number):
+            return False
+        if exp.denominator != 1:
+            continue
+        if isinstance(atom, (Add, Mul)) or exp != 1 and (
+                exp == 0 or isinstance(atom, (Pow, Const)) or
+                isinstance(atom, FunctionApp) and atom.func in ("sin", "sinh") and exp >= 2):
+            return False
+    return True
+
+
 def poly_mul(p: Poly, q: Poly, ctx: NormContext) -> Poly:
+    """p q, a `mono_mul` per pair of terms, each one tick here and what
+    `mono_mul` counts.  Scaling path: by a constant ``{EMPTY_MONO: c}``,
+    with every monomial of the other factor `_settled`, each term times c
+    in that factor's order, charged in bulk the loop's 2 ticks per term;
+    where that passes the budget the loop runs and raises at its tick."""
+    if len(p) == 1 and EMPTY_MONO in p:
+        p, q = q, p  # by a one-term constant, both loop orders agree
+    if len(q) == 1 and EMPTY_MONO in q:
+        steps = ctx.steps + 2 * len(p)
+        if steps <= ctx.budget and all(map(_settled, p)):
+            ctx.steps = steps
+            c = q[EMPTY_MONO]
+            return {m: _q(c * c1) for m, c1 in p.items()}
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -10,10 +10,19 @@
   times a module global.  `parser` binds the members of `TokenCategory`
   and `NodeKind` as module names once; no function body reads them as
   attributes.
+* `normform.poly_mul` by a one-term constant polynomial scales the other
+  factor's settled terms without a `mono_mul` per term; most products
+  in normalization are of that kind.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from mathverify import normform
+from mathverify.ir import FunctionApp, Pow, Var
 
 PACKAGE_DIR = Path(__file__).parent.parent / "src" / "mathverify"
 ENUMS = {"TokenCategory", "NodeKind"}
@@ -74,3 +83,21 @@ def test_no_function_body_reads_an_enum_member():
                          if _enum_member_read(node))
     assert not found, "enum members read in function bodies; import the " \
         "module names parser binds:\n" + "\n".join(sorted(found))
+
+
+def test_scaling_by_a_constant_calls_no_mono_mul(monkeypatch):
+    x, y = Var("x"), Var("y")
+    q = {(): 3, ((x, 1), (y, 4)): Fraction(1, 2), ((FunctionApp("sin", (), (x,)), -2),): -1,
+         ((Pow(x, Var("s")), Fraction(1, 3)),): 2}
+
+    def mono_mul(*args):
+        raise AssertionError("mono_mul called")
+
+    monkeypatch.setattr(normform, "mono_mul", mono_mul)
+    ctx = normform.NormContext()
+    assert normform.poly_mul(normform.ONE_POLY, q, ctx) == q
+    assert normform.poly_mul(q, normform.const_poly(-2), ctx) == \
+        {m: -2 * c for m, c in q.items()}
+    assert ctx.steps == 4 * len(q)
+    with pytest.raises(AssertionError, match="mono_mul called"):
+        normform.poly_mul({((x, 1),): 1}, {((y, 1),): 1}, ctx)

@@ -1,6 +1,7 @@
 """The rational normal form's polynomial kernel and emission, checked
-against the loops they replaced, its bounded exact powers and gamma
-values, its int-when-integral storage, and its shared memo, checked
+against the loops they replaced (the scaling path of `poly_mul` at every
+budget too), its bounded exact powers, gamma values and gamma reflection
+rounds, its int-when-integral storage, and its shared memo, checked
 against contexts without one."""
 
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from mathverify import ir, normform
 from mathverify.constraints import VariableDomain
-from mathverify.errors import SymbolicError
+from mathverify.errors import BudgetExceeded, SymbolicError
 from mathverify.ir import Const, FunctionApp, Number, Var
 from mathverify.normform import (
     ONE_POLY,
@@ -23,6 +24,7 @@ from mathverify.normform import (
     _exact_root,
     _mono_sort_key,
     canon,
+    const_poly,
     constant_value,
     emit,
     mono_mul,
@@ -34,24 +36,49 @@ from mathverify.parser import parse, tokenize
 from mathverify.translate import to_relation
 
 _X, _Y = Var("x"), Var("y")
-# sin^2 expands through the Pythagorean relation inside mono_mul, so a
-# product of monomials can be a polynomial of several terms.
-_ATOMS = (_X, _Y, Const(ir.PI), FunctionApp("sin", (), (_X,)),
-          ir.Pow(_X, Var("s")))
-_EXPONENTS = (Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+_I = Const(ir.IMAGINARY_UNIT)
+_PI = Const(ir.PI)
+_SIN_X = FunctionApp("sin", (), (_X,))
+_SETTLED_EXPONENTS = (Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+# Each atom with the exponents it is drawn with.  sin^2 and sinh^2 expand
+# through the Pythagorean relations inside mono_mul, so a product of
+# monomials can be a polynomial of several terms; i^k folds mod 4, a
+# rational power of a Number may fold, an integral power of (x + 1)
+# re-expands and an integral power of x^s combines, so none of those is
+# settled and poly_mul by a constant goes through the per-term loop.
+_ATOM_EXPONENTS = (
+    (_X, _SETTLED_EXPONENTS),
+    (_Y, _SETTLED_EXPONENTS),
+    (_PI, _SETTLED_EXPONENTS),
+    (_SIN_X, _SETTLED_EXPONENTS),
+    (ir.Pow(_X, Var("s")), _SETTLED_EXPONENTS),
+    (_I, (Fraction(-1), Fraction(2), Fraction(3))),
+    (Number(2), (Fraction(1, 2),)),
+    (ir.add(_X, ir.ONE), (Fraction(-1), Fraction(2))),
+    (FunctionApp("sinh", (), (_X,)), (Fraction(1), Fraction(2))),
+)
+
+
+def _mono(entries):
+    """A monomial as normalization builds it: atoms in sort-key order."""
+    return tuple(sorted(entries, key=lambda kv: ir.sort_key(kv[0])))
 
 
 @st.composite
 def _monos(draw):
-    atoms = draw(st.lists(st.sampled_from(_ATOMS), max_size=3, unique=True))
-    entries = [(a, draw(st.sampled_from(_EXPONENTS))) for a in atoms]
-    return tuple(sorted(entries, key=lambda kv: ir.sort_key(kv[0])))
+    picks = draw(st.lists(st.sampled_from(_ATOM_EXPONENTS), max_size=3,
+                          unique_by=lambda ae: ae[0]))
+    # Exponents stored as Fraction, or as int when integral (through _q).
+    store = draw(st.sampled_from((lambda e: e, normform._q)))
+    return _mono([(a, store(draw(st.sampled_from(exps)))) for a, exps in picks])
 
 
-_polys = st.dictionaries(
-    _monos(),
-    st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2))),
-    max_size=4,
+_COEFFICIENTS = st.sampled_from((Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2),
+                                 1, -2))
+# Constant polynomials, ONE_POLY among them, on either side of a product.
+_polys = st.one_of(
+    st.dictionaries(_monos(), _COEFFICIENTS, max_size=4),
+    _COEFFICIENTS.map(lambda c: {(): c}),
 )
 
 
@@ -101,6 +128,53 @@ def test_poly_mul_matches_the_copying_loop(p, q):
     before = dict(p)
     poly_add(p, q)
     assert p == before
+
+
+def test_each_atom_and_exponent_scales_as_the_loop_multiplies():
+    # Every kind the strategies draw, settled or not, alone and next to a
+    # settled atom, on either side of a constant.
+    for atom, exps in _ATOM_EXPONENTS:
+        for exp in exps:
+            for mono in (((atom, exp),), _mono([(atom, normform._q(exp)), (Var("z"), 3)])):
+                for p, q in (({mono: 2}, const_poly(-3)), (ONE_POLY, {mono: -1, (): 1})):
+                    ctx_new, ctx_old = NormContext(), NormContext()
+                    assert list(poly_mul(p, q, ctx_new).items()) == \
+                        list(_copying_poly_mul(p, q, ctx_old).items()), (p, q)
+                    assert ctx_new.steps == ctx_old.steps
+
+
+def _product_or_exit(multiply, p, q, budget):
+    ctx = NormContext(budget)
+    try:
+        result = list(multiply(p, q, ctx).items())
+    except BudgetExceeded:
+        result = BudgetExceeded
+    return result, ctx.steps
+
+
+# Constant times polynomial: settled (the scaling path), not settled (the
+# loop: i^3 folds, sin^2 expands), and constant times constant.
+_SCALED_PRODUCTS = (
+    (ONE_POLY, {((_X, 2),): 3, _mono([(_X, 1), (_Y, Fraction(1, 2))]): Fraction(-1, 2),
+                (): 1}),
+    ({((_X, -1),): 2, ((ir.Pow(_X, Var("s")), 1),): -1}, const_poly(-2)),
+    (const_poly(Fraction(3, 2)), {((_I, 3),): 1, _mono([(_SIN_X, 2), (_Y, 1)]): 2}),
+    (const_poly(-1), const_poly(5)),
+)
+
+
+@pytest.mark.parametrize("p, q", _SCALED_PRODUCTS)
+def test_scaling_runs_out_of_budget_where_the_loop_does(p, q):
+    # At every budget up to the product's full tick count, poly_mul and
+    # the per-term loop both raise or both return, at the same steps.
+    full = NormContext()
+    _copying_poly_mul(p, q, full)
+    assert full.steps >= 2
+    for budget in range(full.steps + 1):
+        assert _product_or_exit(poly_mul, p, q, budget) == \
+            _product_or_exit(_copying_poly_mul, p, q, budget), budget
+    # One tick short, the exit leaves steps one over the budget.
+    assert _product_or_exit(poly_mul, p, q, full.steps - 1) == (BudgetExceeded, full.steps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,10 +254,6 @@ def test_gamma_reflection_hands_back_a_polynomial_without_gamma_pairs():
         "sin", (), (ir.mul(Const(ir.PI), _X),))))
 
 
-_I = Const(ir.IMAGINARY_UNIT)
-_PI = Const(ir.PI)
-
-
 def _fn(name, *args, params=()):
     return FunctionApp(name, tuple(ir.num(p) for p in params), args)
 
@@ -215,6 +285,11 @@ _SPECIAL_VALUES = {
                FunctionApp("gamma", (), (ir.sub(ir.ONE, _X),))),
         ir.div(ir.mul(_PI, FunctionApp("gamma", (), (_X,))),
                _fn("sin", ir.mul(_PI, _X)))),
+    # Exponents that merge to an odd power: sin^3 = sin (1 - cos^2).
+    "sin_powers_merging_to_three": (
+        ir.mul(ir.Pow(_fn("sin", _X), ir.num(Fraction(3, 2))),
+               ir.Pow(_fn("sin", _X), ir.num(Fraction(3, 2)))),
+        ir.sub(_fn("sin", _X), ir.mul(_fn("sin", _X), ir.power(_fn("cos", _X), ir.num(2))))),
 }
 
 
@@ -230,6 +305,32 @@ def test_atoms_that_stay_as_they_are():
     arg = ir.div(ir.ONE, ir.add(_X, ir.ONE))
     assert emit(norm(FunctionApp("gamma", (), (arg,)))) == \
         FunctionApp("gamma", (), (emit(norm(arg)),))
+
+
+def test_a_non_ir_object_is_refused():
+    with pytest.raises(SymbolicError, match="cannot normalize"):
+        norm(ir.Relation(ir.REL_EQ, _X, _Y))
+
+
+def _gamma_exponents(rf):
+    return sorted(exp for mono in rf.num for atom, exp in mono
+                  if isinstance(atom, FunctionApp) and atom.func == "gamma")
+
+
+def test_gamma_reflection_stops_after_eight_rounds():
+    # A round reflects one pair per monomial, so Gamma(x)^k Gamma(1-x)^k
+    # needs k rounds.  Eight contract it all; at nine one pair is left,
+    # which a further pass would reflect.
+    gamma_x = FunctionApp("gamma", (), (_X,))
+    gamma_one_minus_x = FunctionApp("gamma", (), (ir.sub(ir.ONE, _X),))
+
+    def pairs(k):
+        return ir.mul(ir.power(gamma_x, ir.num(k)), ir.power(gamma_one_minus_x, ir.num(k)))
+
+    assert _gamma_exponents(norm(pairs(8))) == []
+    capped = norm(pairs(9))
+    assert _gamma_exponents(capped) == [1, 1]
+    assert _gamma_exponents(normform._gamma_reflect(capped, NormContext())) == []
 
 
 def _check_storage(rf):

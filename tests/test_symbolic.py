@@ -1026,6 +1026,25 @@ def test_rational_forms_are_never_written(tables, mini_corpus, monkeypatch):
     assert {CLASS_ZERO, CLASS_ONE, CLASS_UNSIMPLIFIED} <= {out[0] for out in plain}
 
 
+def test_scaling_path_keeps_every_outcome(tables, mini_corpus, monkeypatch):
+    # With poly_mul's scaling path replaced by the per-term loop, every
+    # outcome, steps_used included, is the same.
+    from test_normform import _copying_poly_mul
+
+    equations = [(rel, domains) for _, rel, domains in
+                 _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
+
+    def outcomes():
+        return [verify_symbolic(rel, domains, default_config(tables))
+                for rel, domains in equations]
+
+    scaled = outcomes()
+    monkeypatch.setattr(normform, "poly_mul", _copying_poly_mul)
+    assert outcomes() == scaled
+    assert {CLASS_ZERO, CLASS_ONE, CLASS_UNSIMPLIFIED} <= {out.classification
+                                                          for out in scaled}
+
+
 def test_expand_with_the_formula_memo_matches_a_fresh_expand(tables, mini_corpus):
     # expand shares the formula's NormMemo; its results, and the budgets
     # at which it runs out, are those of an expand without one.

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing.connection
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -362,44 +363,57 @@ def run_pipeline(
     return aggregate(outcomes)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(tables: Tables, options: PipelineOptions) -> None:
-    _WORKER_STATE["tables"] = tables
-    _WORKER_STATE["options"] = options
-
-
-def _worker_verify(record_json: str) -> Outcome:
-    record = FormulaRecord.from_json(record_json)
-    return verify_record(record, _WORKER_STATE["tables"], _WORKER_STATE["options"])
-
-
-def _chunk_size(n_records: int, jobs: int) -> int:
-    """Records per pool task: about eight tasks per worker, so each task
-    and its result are one message each, and the last tasks still spread
-    the load over the workers."""
-    return max(1, n_records // (8 * jobs))
+def _claim_loop(records: Sequence[FormulaRecord], tables: Tables,
+                options: PipelineOptions, counter, conn) -> None:
+    """A ``--jobs`` worker: verify each record whose index it claims from ``counter``,
+    then send the (index, outcome) pairs, or the exception raised, as one message."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                index, counter.value = counter.value, counter.value + 1
+            if index >= len(records):
+                break
+            done.append((index, verify_record(records[index], tables, options)))
+    except Exception as exc:
+        done = exc
+    conn.send(done)
 
 
 def _run_parallel(records: Sequence[FormulaRecord], tables: Tables,
                   options: PipelineOptions) -> list[Outcome]:
-    """Verify ``records`` in up to ``options.jobs`` worker processes that
-    use the caller's ``tables``: a forked worker inherits them, a spawned
-    one unpickles them.  Contiguous chunks of records go out as one task
-    each and come back as one list each, in record order; the pool starts
-    no more workers than there are chunks."""
-    if not records:
-        return []
-    size = _chunk_size(len(records), options.jobs)
-    n_chunks = -(-len(records) // size)
-    with ProcessPoolExecutor(
-        max_workers=min(options.jobs, n_chunks),
-        initializer=_worker_init,
-        initargs=(tables, options),
-    ) as pool:
-        return list(pool.map(_worker_verify, [r.to_json() for r in records],
-                             chunksize=size))
+    """Verify ``records`` in ``min(options.jobs, len(records))`` processes
+    that run ``_claim_loop`` on the caller's ``tables`` (forked workers
+    inherit them, spawned ones unpickle them).  A failed worker's exception,
+    or a ``RuntimeError`` with its exit code, is raised once all are joined."""
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("i", 0)
+    outcomes, pending = [None] * len(records), {}
+    try:
+        for _ in range(min(options.jobs, len(records))):
+            reader, writer = ctx.Pipe(duplex=False)
+            pending[reader] = ctx.Process(target=_claim_loop, args=(
+                records, tables, options, counter, writer))
+            pending[reader].start()
+            writer.close()
+        while pending:
+            ready = multiprocessing.connection.wait(
+                [*pending, *(w.sentinel for w in pending.values())])
+            for reader in [r for r, w in pending.items() if r in ready or w.sentinel in ready]:
+                worker = pending.pop(reader)
+                got = None  # a worker that died sends nothing, or its pipe reads EOF
+                with suppress(EOFError):
+                    got = reader.recv() if reader.poll() else None
+                worker.join()
+                if not isinstance(got, list):
+                    raise got or RuntimeError(f"--jobs worker exited with code {worker.exitcode}")
+                for index, outcome in got:
+                    outcomes[index] = outcome
+    finally:
+        for worker in pending.values():
+            worker.terminate()
+            worker.join()
+    return outcomes
 
 
 # --- rendering ---

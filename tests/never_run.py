@@ -8,8 +8,10 @@ no code, are not statements here.  A simple statement counts as run
 when any of its lines ran; a compound statement (``if``, ``for``, ``def``,
 ...) when a line of its header ran, decorators included.
 
-Pool workers that ``--jobs``/``jobs=2`` start are not traced, so code that
-only runs inside a worker is listed as never run.
+The worker processes that ``--jobs``/``jobs=2`` start are not traced.  The
+worker body, ``pipeline._claim_loop``, is also run in this process by a
+test, so only code that nothing but a worker process runs is listed as
+never run.
 
     python tests/never_run.py [pytest arguments]
 

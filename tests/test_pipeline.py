@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from mathverify import pipeline
-from mathverify.errors import ConfigParseError, MissingInputFile
+from mathverify.errors import ConfigParseError, MalformedRule, MissingInputFile
 from mathverify.extraction import FormulaRecord, split_relations, write_corpus
 from mathverify.pipeline import (
     ChapterReport,
@@ -369,22 +370,22 @@ def test_chains_with_empty_members_do_not_stop_a_report(tmp_path, report, mini_c
     assert render_report(result)
 
 
-# --- records reach the pool workers in chunks ---
+# --- --jobs workers claim records from one shared counter ---
 
 DEEP = FormulaRecord("EF.999", "EF", "x = " + "(" * 400 + "x" + ")" * 400)
 
 
-def _run_chunked(records, tables, jobs, monkeypatch):
-    """``_run_parallel``'s outcomes and the worker counts its pools asked for."""
-    workers = []
+def _run_counted(records, tables, jobs, monkeypatch):
+    """``_run_parallel``'s outcomes and the number of processes it started."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
 
-    class CountingPool(pipeline.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kw):
-            workers.append(max_workers)
-            super().__init__(max_workers, **kw)
+    def counting_start(process):
+        started.append(process)
+        start(process)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
-    return pipeline._run_parallel(records, tables, PipelineOptions(jobs=jobs)), workers
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return pipeline._run_parallel(records, tables, PipelineOptions(jobs=jobs)), len(started)
 
 
 def _lines(outcomes):
@@ -395,32 +396,170 @@ def _lines(outcomes):
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
 def test_parallel_chunks_return_the_serial_outcomes_in_order(tables, mini_corpus,
                                                              monkeypatch, jobs, n):
+    # Whichever worker claims a record, its outcome lands in its place.
     records = list(mini_corpus[:n])
     if n == 17:
         records[8] = DEEP
     serial = [verify_record(r, tables, PipelineOptions()) for r in records]
-    outcomes, workers = _run_chunked(records, tables, jobs, monkeypatch)
+    outcomes, workers = _run_counted(records, tables, jobs, monkeypatch)
     assert _lines(outcomes) == _lines(serial)
-    assert workers == [min(jobs, n)]  # never more workers than chunks
+    assert workers == min(jobs, n)  # never more workers than records
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_record_that_raises_mid_chunk_leaves_the_rest_of_its_chunk(tables, mini_corpus,
                                                                    monkeypatch, jobs):
-    size = 3
-    records = [mini_corpus[i % len(mini_corpus)] for i in range(size * 8 * jobs)]
-    assert pipeline._chunk_size(len(records), jobs) == size
-    records[size + 1] = DEEP  # the middle of the second chunk
+    # The worker that verifies a record ending internal_error goes on
+    # claiming records; the records around it keep their serial outcomes.
+    records = [mini_corpus[i % len(mini_corpus)] for i in range(3 * 8 * jobs)]
+    records[4] = DEEP
     serial = [verify_record(r, tables, PipelineOptions()) for r in records]
-    outcomes, workers = _run_chunked(records, tables, jobs, monkeypatch)
+    outcomes, workers = _run_counted(records, tables, jobs, monkeypatch)
     assert _lines(outcomes) == _lines(serial)
-    assert [o.failure == "internal_error" for o in outcomes[size:2 * size]] == \
-        [False, True, False]
-    assert workers == [jobs]
+    assert [o.failure == "internal_error" for o in outcomes[3:6]] == [False, True, False]
+    assert workers == jobs
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit a rebound module global")
+def test_more_workers_than_cores_claim_each_record_once(tables, mini_corpus, monkeypatch):
+    # With a verify_record that returns at once, the workers contend for
+    # the counter on every claim: a lost update would verify a record
+    # twice or leave one out.
+    calls = multiprocessing.Value("i", 0)
+
+    def count(record, tables, options):
+        with calls.get_lock():
+            calls.value += 1
+        return record.id
+
+    monkeypatch.setattr(pipeline, "verify_record", count)
+    records = [mini_corpus[i % len(mini_corpus)] for i in range(100_000)]
+    outcomes = pipeline._run_parallel(records, tables, PipelineOptions(jobs=4))
+    assert outcomes == [r.id for r in records]
+    assert calls.value == len(records)
 
 
 def test_empty_corpus_starts_no_pool(tables, monkeypatch):
-    assert _run_chunked([], tables, 2, monkeypatch) == ([], [])
+    assert _run_counted([], tables, 2, monkeypatch) == ([], 0)
+
+
+def test_claim_loop_sends_its_claims_as_one_message(tables, mini_corpus):
+    # The worker body, run in this process on one end of a pipe.
+    records, options = mini_corpus[:4], PipelineOptions()
+    counter = multiprocessing.Value("i", 1)  # index 0 is claimed already
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    pipeline._claim_loop(records, tables, options, counter, writer)
+    assert reader.recv() == [(i, verify_record(records[i], tables, options))
+                             for i in (1, 2, 3)]
+    assert not reader.poll()
+    assert counter.value == len(records) + 1  # one claim past the end
+
+
+def test_claim_loop_sends_back_the_error_that_escaped(tables, mini_corpus, monkeypatch):
+    def refuse(record, tables, options):
+        raise MalformedRule(f"record {record.id}")
+    monkeypatch.setattr(pipeline, "verify_record", refuse)
+    counter = multiprocessing.Value("i", 0)
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    pipeline._claim_loop(mini_corpus[:3], tables, PipelineOptions(), counter, writer)
+    error = reader.recv()
+    assert (type(error), str(error)) == (MalformedRule, "record EF.1")
+    assert counter.value == 1  # the first claim failed, so no other was made
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_error_that_escapes_verify_record_stops_the_run_with_its_type(monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers inherit a rebound module global")
+    # A MathVerifyError is not one record's internal_error: it leaves
+    # verify_record and ends the run, in a worker as in the caller.
+    inner = pipeline._verify
+
+    def refuse_ga3(record, tables, options):
+        if record.id == "GA.3":
+            raise MalformedRule("no blueprint for GA.3")
+        return inner(record, tables, options)
+
+    monkeypatch.setattr(pipeline, "_verify", refuse_ga3)
+    with pytest.raises(MalformedRule, match="no blueprint for GA.3"):
+        run_pipeline(MINI, PipelineOptions(jobs=jobs))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit a rebound module global")
+def test_worker_that_exits_without_its_message_stops_the_run(monkeypatch):
+    # The worker that claims EF.1 stays in it, so the other one reaches
+    # GA.3 and dies there; the parent terminates the first.
+    inner = pipeline.verify_record
+
+    def exit_on_ga3(record, tables, options):
+        if record.id == "EF.1":
+            time.sleep(60)
+        if record.id == "GA.3":
+            os._exit(7)
+        return inner(record, tables, options)
+
+    monkeypatch.setattr(pipeline, "verify_record", exit_on_ga3)
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_pipeline(MINI, PipelineOptions(jobs=2))
+    assert time.monotonic() - began < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit a rebound module global")
+def test_worker_whose_pipe_ends_before_its_message_stops_the_run(monkeypatch):
+    # The parent reads end-of-file on the pipe before the worker has exited.
+    def close_and_exit(records, tables, options, counter, conn):
+        conn.close()
+        time.sleep(0.2)
+        os._exit(5)
+
+    monkeypatch.setattr(pipeline, "_claim_loop", close_and_exit)
+    with pytest.raises(RuntimeError, match="exited with code 5"):
+        run_pipeline(MINI, PipelineOptions(jobs=2))
+    assert multiprocessing.active_children() == []
+
+
+_FORKED_RUN = """
+import multiprocessing.resource_tracker
+from mathverify import pipeline
+pipeline.run_pipeline({mini!r}, pipeline.PipelineOptions(jobs=2))
+print(multiprocessing.resource_tracker._resource_tracker._pid)
+"""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the resource tracker is started by design under spawn")
+def test_forked_workers_start_no_resource_tracker():
+    # A tracker outlives the run as a child process of the caller.
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _FORKED_RUN.format(mini=MINI)],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "None"
+
+
+_SPAWNED_RUN = """
+import multiprocessing, sys
+from mathverify import pipeline
+multiprocessing.set_start_method("spawn")
+report = pipeline.run_pipeline({mini!r}, pipeline.PipelineOptions(jobs=2))
+assert multiprocessing.active_children() == []
+sys.stdout.buffer.write(pipeline.render_report(report, "structured"))
+"""
+
+
+def test_spawned_workers_produce_the_serial_report(report):
+    # Under spawn the records, tables, counter and pipe ends reach the
+    # workers pickled, and the workers import the package afresh.
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _SPAWNED_RUN.format(mini=MINI)],
+                          capture_output=True, env=env, check=True, timeout=120)
+    assert done.stdout == render_report(report, "structured")
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -672,7 +811,6 @@ def test_missing_table_file_fails_at_construction(tmp_path, field):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_malformed_rule_file_stops_the_run_before_any_record(tmp_path, monkeypatch, jobs):
-    from mathverify.errors import MalformedRule
     rules = tmp_path / "bad.rules"
     rules.write_text("\\sin@{var1}\n")
     started = []

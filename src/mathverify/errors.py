@@ -21,6 +21,12 @@ class IllegalCharacter(ParseError):
         self.char = char
         self.offset = offset
 
+    def __reduce__(self):
+        # Unpickling calls the class with these arguments, not with the
+        # message built from them, so an exception that a ``--jobs``
+        # worker sends back arrives whole.
+        return type(self), (self.char, self.offset)
+
 
 class ArityMismatch(ParseError):
     pass
@@ -128,6 +134,9 @@ class NumericallyUnsupported(EvaluationError):
     def __init__(self, function_id: str):
         super().__init__(f"no numeric support for {function_id!r}")
         self.function_id = function_id
+
+    def __reduce__(self):
+        return type(self), (self.function_id,)
 
 
 class PoleOrSingularity(EvaluationError):

@@ -4,8 +4,11 @@ Expressions normalize to a fraction of multivariate Laurent polynomials
 whose indeterminates ("atoms") are variables, constants, function
 applications with canonicalized arguments, and powers with symbolic
 exponents.  Like atoms merge by adding exponents, so exponent laws
-(e^x e^y = e^{x+y}) fall out of collection; powers of the imaginary unit
-fold modulo four; even powers of sin/sinh eliminate through the
+(e^x e^y = e^{x+y}) fall out of collection; a rational exponent splits
+off its integer part (z^(n+f) = z^n z^f, 0 <= f < 1), which folds into
+numbers, compound bases and powers, and the exponent of the imaginary
+unit reduces into [0, 2), so a power has one form however its exponent
+was reached; even powers of sin/sinh eliminate through the
 Pythagorean relations; gamma arguments shift to a canonical fractional
 part (the recurrence Gamma(z+1) = z Gamma(z) run to a fixpoint); and
 gamma pairs with arguments summing to an integer contract through the
@@ -304,8 +307,13 @@ def _exact_root(n: int, k: int) -> Optional[int]:
 def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly:
     """Fold special atoms of a raw monomial and expand Pythagorean powers.
     ``coef`` is nonzero, and stays so: a ``Number`` atom is positive
-    (`_norm_pow`), so folding one multiplies by a nonzero value."""
-    ctx.tick()
+    (`_norm_pow`), so folding one multiplies by a nonzero value.
+
+    A rational exponent e of a ``Number``, ``Add``, ``Mul``, ``Neg`` or
+    ``Pow`` atom splits into n + f with n = floor(e) and 0 <= f < 1, and
+    z^n folds where that is exact: z^(n+f) = z^n z^f holds on the principal
+    branch for integer n and z != 0.  An exponent of i reduces into [0, 2).
+    So a power of an atom has one form however its exponent was reached."""
     factors: list[Poly] = []
     clean: dict[Expr, ExpKey] = {}
     for atom, exp in entries.items():
@@ -314,39 +322,34 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly
             continue
         if exp == 0:
             continue
-        if isinstance(atom, Const) and atom.name == ir.IMAGINARY_UNIT and \
-                exp.denominator == 1:
-            r = int(exp) % 4
-            if r == 0:
-                continue
-            if r == 2:
-                coef = -coef
-                continue
-            if r == 3:
-                coef = -coef
-            clean[atom] = 1
-            continue
-        if isinstance(atom, Number):
+        if isinstance(atom, Const):
+            if atom.name == ir.IMAGINARY_UNIT:
+                # i^(2k + r) = (-1)^k i^r
+                k, r = divmod(exp, 2)
+                if k % 2:
+                    coef = -coef
+                if r == 0:
+                    continue
+                exp = _q(r)
+        elif isinstance(atom, Number):
             folded = _exact_rational_pow(atom.value, exp)
             if folded is not None:
                 coef *= folded
                 continue
-        if isinstance(atom, (Add, Mul)) and exp.denominator == 1:
-            # A compound base whose exponents merged to an integer
-            # re-expands into a genuine polynomial when that is exact.
-            r = _rat_pow(norm_plain(atom, ctx), int(exp), ctx)
-            if r.den == ONE_POLY:
-                factors.append(r.num)
-                continue
-        if isinstance(atom, Pow) and exp.denominator == 1 and exp != 1:
-            # (w^e)^k = w^(e k) holds for integer k on principal branches.
-            combined = norm_plain(
-                Pow(atom.base, ir.mul(Number(exp), atom.exponent)), ctx
-            )
-            if combined.den == ONE_POLY:
-                factors.append(combined.num)
-                continue
-        if isinstance(atom, FunctionApp) and atom.func in ("sin", "sinh") and \
+            n = _floor_fraction(exp)
+            folded = _exact_rational_pow(atom.value, n) if n else None
+            if folded is not None:
+                coef *= folded
+                exp -= n
+        elif isinstance(atom, (Add, Mul, Neg, Pow)):
+            n = _floor_fraction(exp)
+            power = _integer_power(atom, n, ctx) if n else None
+            if power is not None:
+                factors.append(power)
+                exp -= n
+                if exp == 0:
+                    continue
+        elif isinstance(atom, FunctionApp) and atom.func in ("sin", "sinh") and \
                 exp.denominator == 1 and exp >= 2:
             k, r = divmod(int(exp), 2)
             u = atom.args[0]
@@ -365,6 +368,23 @@ def _post_mono(entries: dict[Expr, ExpKey], coef: Rat, ctx: NormContext) -> Poly
     return result
 
 
+def _integer_power(atom: Expr, n: int, ctx: NormContext) -> Optional[Poly]:
+    """atom**n for an ``Add``, ``Mul``, ``Neg`` or ``Pow`` atom and an
+    integer n != 0, when that is a polynomial, else None."""
+    if isinstance(atom, Pow):
+        # (w^a)^n = w^(a n) holds for integer n on principal branches.  A
+        # Number w^a is its own normal form (`_norm_pow`), so at n = 1 it
+        # would only rebuild itself.
+        if n == 1 and isinstance(atom.base, Number):
+            return None
+        rf = norm_plain(Pow(atom.base, ir.mul(Number(n), atom.exponent)), ctx)
+    else:
+        # A compound base re-expands into a genuine polynomial when that
+        # is exact.
+        rf = _rat_pow(norm_plain(atom, ctx), n, ctx)
+    return rf.num if rf.den == ONE_POLY else None
+
+
 def mono_mul(m1: Mono, m2: Mono, coef: Rat, ctx: NormContext) -> Poly:
     entries: dict[Expr, ExpKey] = {}
     for atom, exp in m1 + m2:
@@ -372,6 +392,7 @@ def mono_mul(m1: Mono, m2: Mono, coef: Rat, ctx: NormContext) -> Poly:
             entries[atom] = _exp_add(entries[atom], exp, ctx)
         else:
             entries[atom] = exp
+    ctx.tick()
     return _post_mono(entries, coef, ctx)
 
 
@@ -391,22 +412,30 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 
 def _settled(mono: Mono) -> bool:
-    """Whether `_post_mono` hands ``mono`` back unchanged after one tick:
-    each exponent symbolic, or, on a non-``Number`` atom, non-integral, 1
-    on a non-``Add``/``Mul``, or another nonzero integer on an atom not
-    ``Add``, ``Mul``, ``Pow``, ``Const`` or sin/sinh to a power >= 2.  An
-    integral ``Fraction`` exponent counts as its integer."""
+    """Whether `_post_mono` hands ``mono`` back unchanged: each exponent
+    symbolic, or a nonzero rational e on an atom that does not fold at e.
+    Those are: i with 0 < e < 2; any other ``Const``; an ``Add``, ``Mul``
+    or ``Neg`` with 0 < e < 1; a ``Pow`` with 0 < e < 1, or with e < 2 and
+    a ``Number`` base; sin/sinh unless e is an integer >= 2; every other
+    atom but a ``Number``.  An integral ``Fraction`` exponent counts as its
+    integer."""
     for atom, exp in mono:
         if not isinstance(exp, _RAT):
             continue
-        if isinstance(atom, Number):
+        if exp == 0 or isinstance(atom, Number):
             return False
-        if exp.denominator != 1:
-            continue
-        if isinstance(atom, (Add, Mul)) or exp != 1 and (
-                exp == 0 or isinstance(atom, (Pow, Const)) or
-                isinstance(atom, FunctionApp) and atom.func in ("sin", "sinh") and exp >= 2):
-            return False
+        if isinstance(atom, Const):
+            if atom.name == ir.IMAGINARY_UNIT and not 0 < exp < 2:
+                return False
+        elif isinstance(atom, (Add, Mul, Neg)):
+            if exp < 0 or exp >= 1:
+                return False
+        elif isinstance(atom, Pow):
+            if exp < 0 or exp >= 2 or exp >= 1 and not isinstance(atom.base, Number):
+                return False
+        elif isinstance(atom, FunctionApp):
+            if exp >= 2 and exp.denominator == 1 and atom.func in ("sin", "sinh"):
+                return False
     return True
 
 
@@ -504,6 +533,15 @@ def _atom_rat(atom: Expr, exp: ExpKey = 1) -> RatForm:
     return RatForm({((atom, exp),): 1}, ONE_POLY)
 
 
+def _atom_power(atom: Expr, exp: ExpKey, ctx: NormContext) -> RatForm:
+    """atom**exp for a nonzero exponent, folded as in a product
+    (`_post_mono`), so that a power has one form however it was built."""
+    mono = ((atom, exp),)
+    if _settled(mono):
+        return RatForm({mono: 1}, ONE_POLY)
+    return RatForm(_post_mono({atom: exp}, 1, ctx), ONE_POLY)
+
+
 # --- normalization ---
 
 def norm(expr: Expr, ctx: Optional[NormContext] = None) -> RatForm:
@@ -593,7 +631,7 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> RatForm:
             if folded is not None:
                 return _rat_const(folded)
         if base_expr.value > 0:
-            return _atom_rat(base_expr, exp_key)
+            return _atom_power(base_expr, exp_key, ctx)
         return _atom_rat(Pow(base_expr, exp_expr))
     if base_rat.den == ONE_POLY and len(base_rat.num) == 1:
         (m, coef), = base_rat.num.items()
@@ -614,7 +652,7 @@ def _norm_pow(expr: Pow, ctx: NormContext) -> RatForm:
             if rest:
                 out = _rat_mul(out, _atom_rat(ir.mul(*rest), exp_key), ctx)
             return out
-    return _atom_rat(base_expr, exp_key)
+    return _atom_power(base_expr, exp_key, ctx)
 
 
 _I_MONO: Mono = ((Const(ir.IMAGINARY_UNIT), 1),)

@@ -8,10 +8,14 @@ does the normal form's power split: it is the only place where the
 domains decide positivity.  Pre-processing conversions - exponential
 form, hypergeometric form, expansion, and their combinations - are tried
 in configured order; the first conversion under which the difference
-normalizes to zero (or the quotient to one) wins and is recorded.  The
-exponential and hypergeometric forms are the ``[exponential]`` and
-``[hypergeometric]`` rows of the identity table ``data/identities.rules``
-(`identities`), written in semantic LaTeX like the rewrite rules.
+normalizes to zero (or, in the quotient and both modes, the quotient to
+one) wins and is recorded.  The default mode tries the difference alone:
+the normal form splits rational powers canonically, and on the tested
+equations the quotient normalizes to one exactly when the difference
+normalizes to zero.  The exponential and hypergeometric forms are the
+``[exponential]`` and ``[hypergeometric]`` rows of the identity table
+``data/identities.rules`` (`identities`), written in semantic LaTeX like
+the rewrite rules.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class RewriteRule:
 
 @dataclass
 class SimplifyConfig:
-    mode: str = MODE_BOTH
+    mode: str = MODE_DIFFERENCE
     preprocessors: tuple[str, ...] = ALL_PREPROCESSORS
     rewrite_step_budget: int = 500_000
     assumptions: tuple[VariableDomain, ...] = ()
@@ -581,7 +585,9 @@ def reduce_bessel_orders(expr: Expr, ctx: NormContext) -> Expr:
 # --- simplification ---
 
 def _classify(rf: RatForm, target: str, steps: int) -> SymbolicOutcome:
-    if is_zero_form(rf):
+    # A quotient that normalizes to 0 is the constant ratio 0: its
+    # numerator vanishes and its denominator does not, so the sides differ.
+    if is_zero_form(rf) and target != MODE_QUOTIENT:
         return SymbolicOutcome(CLASS_ZERO, steps_used=steps)
     if target in (MODE_QUOTIENT, MODE_BOTH) and is_one_form(rf):
         return SymbolicOutcome(CLASS_ONE, steps_used=steps)

@@ -40,21 +40,36 @@ _I = Const(ir.IMAGINARY_UNIT)
 _PI = Const(ir.PI)
 _SIN_X = FunctionApp("sin", (), (_X,))
 _SETTLED_EXPONENTS = (Fraction(-1), Fraction(1), Fraction(2), Fraction(1, 2))
+# Non-integral exponents whose floor is not 0, at which `_post_mono` splits
+# off the integer power of a Number, i, Add, Mul, Neg or Pow atom.
+_SPLIT_EXPONENTS = (Fraction(5, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(-4, 3))
+_NEG_X = ir.Neg(_X)
+_X_TIMES_Y = ir.mul(_X, _Y)
+_X_TO_THE_S = ir.Pow(_X, Var("s"))
+_X_SQUARED = ir.Pow(_X, ir.num(2))
+_X_PLUS_ONE = ir.add(_X, ir.ONE)
+# A negative Number to a rational power is its own normal form.
+_ROOT_OF_MINUS_TWO = ir.Pow(ir.num(-2), ir.HALF)
 # Each atom with the exponents it is drawn with.  sin^2 and sinh^2 expand
 # through the Pythagorean relations inside mono_mul, so a product of
-# monomials can be a polynomial of several terms; i^k folds mod 4, a
-# rational power of a Number may fold, an integral power of (x + 1)
-# re-expands and an integral power of x^s combines, so none of those is
+# monomials can be a polynomial of several terms; i's exponent reduces
+# into [0, 2), a rational power of a Number may fold or split off an
+# integer power, an Add, Mul or Neg re-expands at the integer part of its
+# exponent and a Pow combines it, so at those exponents none of them is
 # settled and poly_mul by a constant goes through the per-term loop.
 _ATOM_EXPONENTS = (
     (_X, _SETTLED_EXPONENTS),
     (_Y, _SETTLED_EXPONENTS),
     (_PI, _SETTLED_EXPONENTS),
     (_SIN_X, _SETTLED_EXPONENTS),
-    (ir.Pow(_X, Var("s")), _SETTLED_EXPONENTS),
-    (_I, (Fraction(-1), Fraction(2), Fraction(3))),
-    (Number(2), (Fraction(1, 2),)),
-    (ir.add(_X, ir.ONE), (Fraction(-1), Fraction(2))),
+    (_X_TO_THE_S, _SETTLED_EXPONENTS + _SPLIT_EXPONENTS),
+    (_I, (Fraction(-1), Fraction(2), Fraction(3), Fraction(1, 2)) + _SPLIT_EXPONENTS),
+    (Number(2), (Fraction(1, 2),) + _SPLIT_EXPONENTS),
+    (_X_PLUS_ONE, (Fraction(-1), Fraction(2), Fraction(1, 2)) + _SPLIT_EXPONENTS),
+    (_X_TIMES_Y, (Fraction(1), Fraction(1, 2)) + _SPLIT_EXPONENTS),
+    (_NEG_X, (Fraction(1), Fraction(2), Fraction(1, 2)) + _SPLIT_EXPONENTS),
+    (_X_SQUARED, (Fraction(1), Fraction(1, 2)) + _SPLIT_EXPONENTS),
+    (_ROOT_OF_MINUS_TWO, (Fraction(1), Fraction(1, 2)) + _SPLIT_EXPONENTS),
     (FunctionApp("sinh", (), (_X,)), (Fraction(1), Fraction(2))),
 )
 
@@ -141,6 +156,58 @@ def test_each_atom_and_exponent_scales_as_the_loop_multiplies():
                     assert list(poly_mul(p, q, ctx_new).items()) == \
                         list(_copying_poly_mul(p, q, ctx_old).items()), (p, q)
                     assert ctx_new.steps == ctx_old.steps
+
+
+def test_settled_monomials_come_back_unchanged():
+    # The scaling path skips _post_mono for a settled monomial, so it must
+    # hand one back as it is, alone and next to another atom.
+    settled = unsettled = 0
+    for atom, exps in _ATOM_EXPONENTS:
+        for exp in exps:
+            for mono in (((atom, exp),), _mono([(atom, exp), (Var("z"), 3)])):
+                if normform._settled(mono):
+                    settled += 1
+                    assert normform._post_mono(dict(mono), 2, NormContext()) == {mono: 2}
+                else:
+                    unsettled += 1
+    assert settled > 40 and unsettled > 40
+
+
+def _sqrt_of(atom, *others):
+    return _mono([(atom, Fraction(1, 2)), *others])
+
+
+# A power at a non-integral exponent with floor n != 0, and what it folds
+# to: z^(n + f) = z^n z^f with 0 <= f < 1.  A Number's z^n joins the
+# coefficient; i's exponent reduces into [0, 2) with a sign per 2.  A Number
+# w^a keeps an exponent below 2: at n = 1 it would rebuild itself.
+_SPLITS = {
+    "number": ((Number(2), Fraction(5, 2)), {((Number(2), Fraction(1, 2)),): 4}),
+    "number_below_zero": ((Number(3), Fraction(-1, 2)),
+                          {((Number(3), Fraction(1, 2)),): Fraction(1, 3)}),
+    "imaginary_unit": ((_I, Fraction(5, 2)), {_sqrt_of(_I): -1}),
+    "imaginary_unit_below_zero": ((_I, Fraction(-1, 2)), {((_I, Fraction(3, 2)),): -1}),
+    "add": ((_X_PLUS_ONE, Fraction(3, 2)),
+            {_sqrt_of(_X_PLUS_ONE): 1, _sqrt_of(_X_PLUS_ONE, (_X, 1)): 1}),
+    "mul": ((_X_TIMES_Y, Fraction(-1, 2)), {_sqrt_of(_X_TIMES_Y, (_X, -1), (_Y, -1)): 1}),
+    "neg": ((_NEG_X, Fraction(3, 2)), {_sqrt_of(_NEG_X, (_X, 1)): -1}),
+    "neg_at_one": ((_NEG_X, 1), {((_X, 1),): -1}),
+    "pow": ((_X_TO_THE_S, Fraction(3, 2)), {_sqrt_of(_X_TO_THE_S, (_X, Var("s"))): 1}),
+    "pow_at_one": ((_X_SQUARED, 1), {((_X, 2),): 1}),
+    "pow_of_a_number": ((_ROOT_OF_MINUS_TWO, Fraction(5, 2)),
+                        {((_ROOT_OF_MINUS_TWO, Fraction(1, 2)),): -2}),
+    "pow_of_a_number_stays": ((_ROOT_OF_MINUS_TWO, Fraction(3, 2)),
+                              {((_ROOT_OF_MINUS_TWO, Fraction(3, 2)),): 1}),
+}
+
+
+@pytest.mark.parametrize("power, expected", _SPLITS.values(), ids=_SPLITS)
+def test_rational_exponents_split_at_their_floor(power, expected):
+    atom, exp = power
+    assert normform._post_mono({atom: exp}, 1, NormContext()) == expected
+    assert normform._settled((power,)) == ((power,) in expected)
+    # A power built alone folds the same way as one built in a product.
+    assert norm(ir.Pow(atom, ir.num(exp))) == RatForm(expected, ONE_POLY)
 
 
 def _product_or_exit(multiply, p, q, budget):

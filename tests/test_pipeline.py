@@ -29,6 +29,7 @@ from mathverify.pipeline import (
     run_pipeline,
     verify_record,
 )
+from mathverify.symbolic import SimplifyConfig
 
 MINI = str(resources.files("mathverify").joinpath("data", "mini_corpus.jsonl"))
 DATA = Path(__file__).parent / "data"
@@ -249,6 +250,29 @@ def test_root_of_a_non_real_power_is_no_source_error(tmp_path):
     assert out.symbolic.classification != "other_numeric"
     assert out.numeric.classification == "verified"
     assert list_flagged(report) == []
+
+
+@pytest.mark.parametrize("latex", [
+    r"\sqrt{(-x)^{2}} = -x",
+    r"\sqrt{-x}\sqrt{-x} = \sqrt{(-x)(-x)}",
+    r"((-x)(-x))^{1/2} = (-x)^{1/2}(-x)^{1/2}",
+    r"((-x)^{2})^{3/2} = (-x)^{3}",
+])
+def test_a_sign_error_is_flagged_without_the_quotient_form(tmp_path, latex):
+    # For x > 0 the two sides differ by the factor -1.  The quotient form
+    # (mode both) simplifies to that constant and flags a source error;
+    # the default difference form leaves the formula unsimplified.  Either
+    # way the numeric stage runs and flags it.
+    path = tmp_path / "sign.jsonl"
+    write_corpus([FormulaRecord("EF.911", "EF", latex, constraints=("x > 0",))], path)
+    for mode, symbolic_class, stages in (
+            ("difference", "unsimplified", ["numeric"]),
+            ("both", "other_numeric", ["numeric", "symbolic"])):
+        report = run_pipeline(path, PipelineOptions(symbolic=SimplifyConfig(mode=mode)))
+        (out,) = report.outcomes
+        assert out.symbolic.classification == symbolic_class
+        assert out.numeric.classification == "above_threshold"
+        assert [f.stage for f in list_flagged(report)] == stages
 
 
 def test_bounded_variable_counts_as_real(tables):
@@ -768,8 +792,9 @@ def test_flags_override_config(tmp_path):
     assert (options.jobs, options.numeric.timeout_seconds) == (2, 5.0)
     assert options.numeric.threshold == 0.01
     assert options.blueprints == "b.rules"
-    # verify --mode picks the stages; the symbolic ``mode`` setting stays.
-    assert options.symbolic.mode == "both"
+    # verify --mode picks the stages; the symbolic ``mode`` setting stays
+    # at its default, the difference form alone.
+    assert options.symbolic.mode == "difference"
 
 
 def test_load_config_resolves_relative_paths(tmp_path):

@@ -284,38 +284,33 @@ def test_exponential_preprocessor_needed_without_rules(tables):
     assert out_none.classification != CLASS_ZERO
 
 
-# Formulae that only the expansion preprocessors verify.  The composed
-# identities win through expand_then_convert alone; the power product wins
-# through expand, and without it through expand_then_convert in as many
-# steps.  Rows: default (verdict, winner, steps), preprocessors dropped,
-# (verdict, winner) without them.
-_EXPANSION_WINS = [
+# Power products that verify only with a canonical normal form: a merged
+# exponent of 1 may not leave (-x)^1 or (x^2)^1 as atoms beside x and
+# x^2, and a rational exponent must split off its integer part.  Each
+# verifies without the expansion preprocessors, the simple products under
+# none and the composed identities under a conversion, in either mode.
+# Rows: (verdict, winner, steps).
+_POWER_PRODUCT_WINS = [
     (r"(-x)^{-1/2}(-x)^{3/2} + \sin@{2y} = -x + 2\sin@{y}\cos@{y}", ("x > 0",),
-     (CLASS_ZERO, PRE_EXPAND_CONVERT, 344), (PRE_EXPAND_CONVERT,), (CLASS_UNSIMPLIFIED, None)),
+     (CLASS_ZERO, PRE_EXPONENTIAL, 401)),
     (r"(x^{2})^{1/2}(x^{2})^{1/2} + \LegendreP{2}@{y} = x^{2} + \frac{3y^2-1}{2}",
-     ("x < 0",),
-     (CLASS_ZERO, PRE_EXPAND_CONVERT, 282), (PRE_EXPAND_CONVERT,), (CLASS_UNSIMPLIFIED, None)),
-    (r"(-x)^{-1/2}(-x)^{3/2} = (-x)^{1}", ("x > 0",),
-     (CLASS_ZERO, PRE_EXPAND, 8), (PRE_EXPAND, PRE_EXPAND_CONVERT), (CLASS_UNSIMPLIFIED, None)),
-    (r"(-x)^{-1/2}(-x)^{3/2} = (-x)^{1}", ("x > 0",),
-     (CLASS_ZERO, PRE_EXPAND, 8), (PRE_EXPAND,), (CLASS_ZERO, PRE_EXPAND_CONVERT)),
+     ("x < 0",), (CLASS_ZERO, PRE_HYPERGEOMETRIC, 340)),
+    (r"(-x)^{-1/2}(-x)^{3/2} = (-x)^{1}", ("x > 0",), (CLASS_ZERO, PRE_NONE, 65)),
+    (r"((-x)^{3/2})^{3} = (-x)^{9/2}", ("x > 0",), (CLASS_ZERO, PRE_NONE, 80)),
 ]
 
 
-@pytest.mark.parametrize("latex, constraints, default, dropped, without", _EXPANSION_WINS)
-def test_expansion_preprocessors_have_unique_wins(tables, latex, constraints, default,
-                                                  dropped, without):
+@pytest.mark.parametrize("latex, constraints, expected", _POWER_PRODUCT_WINS)
+def test_power_products_verify_without_expansion(tables, latex, constraints, expected):
     from mathverify.constraints import interpret_constraints
     rel = tr(latex, tables)
     domains = interpret_constraints(constraints, tables.blueprints,
                                     tables.macro_table).domains
-    out = verify_symbolic(rel, domains, default_config(tables))
-    assert (out.classification, out.winning_preprocessor, out.steps_used) == default
-    kept = tuple(p for p in ALL_PREPROCESSORS if p not in dropped)
-    out = verify_symbolic(rel, domains, default_config(tables, preprocessors=kept))
-    assert (out.classification, out.winning_preprocessor) == without
-    if out.verified:
-        assert out.steps_used == default[2]
+    kept = tuple(p for p in ALL_PREPROCESSORS if p not in (PRE_EXPAND, PRE_EXPAND_CONVERT))
+    for config in (default_config(tables), default_config(tables, mode=MODE_BOTH),
+                   default_config(tables, preprocessors=kept)):
+        out = verify_symbolic(rel, domains, config)
+        assert (out.classification, out.winning_preprocessor, out.steps_used) == expected
 
 
 def test_inequality_raises(tables):
@@ -328,6 +323,18 @@ def test_quotient_mode_refuses_literal_zero(tables):
     rel = tr("0 = x", tables)
     out = verify_symbolic(rel, (), default_config(tables, mode=MODE_QUOTIENT))
     assert out.classification != "one"
+
+
+@pytest.mark.parametrize("latex", ["x - x = 1", r"\sin@{x}^2 + \cos@{x}^2 - 1 = 2"])
+def test_a_quotient_that_normalizes_to_zero_is_not_verified(tables, latex):
+    # The left side vanishes and the right does not: the quotient form
+    # reads the constant ratio 0, which must not count as a verified zero.
+    rel = tr(latex, tables)
+    for mode in (MODE_QUOTIENT, MODE_BOTH):
+        out = verify_symbolic(rel, (), default_config(tables, mode=mode))
+        assert not out.verified
+    out = verify_symbolic(rel, (), default_config(tables, mode=MODE_QUOTIENT))
+    assert (out.classification, out.value) == (CLASS_OTHER_NUMERIC, 0)
 
 
 def test_assumption_gated_rule(tables):
@@ -521,7 +528,7 @@ def test_no_candidate_is_simplified_twice(tables, mini_corpus, monkeypatch):
 
     monkeypatch.setattr(symbolic, "simplify", recording_simplify)
     monkeypatch.setattr(symbolic, "expand", recording_expand)
-    config = default_config(tables)
+    config = default_config(tables, mode=MODE_BOTH)
     for rid, rel, domains in _corpus_equations(tables, mini_corpus):
         calls.append([])
         expansions.append([])
@@ -551,7 +558,7 @@ def test_each_candidate_calls_the_traced_passes_once(tables, mini_corpus, monkey
 
     for name in calls:
         monkeypatch.setattr(symbolic, name, counting(name))
-    config = default_config(tables)
+    config = default_config(tables, mode=MODE_BOTH)
     for _, rel, domains in _corpus_equations(tables, mini_corpus):
         verify_symbolic(rel, domains, config)
     assert len(calls["simplify"]) > 90
@@ -761,7 +768,7 @@ def test_rule_index_matches_linear_scan_on_corpus_candidates(tables, mini_corpus
         return real_apply(expr, rules, ctx)
 
     monkeypatch.setattr(symbolic, "apply_rules", recording_apply)
-    config = default_config(tables)
+    config = default_config(tables, mode=MODE_BOTH)
     for _, rel, domains in _corpus_equations(tables, mini_corpus):
         verify_symbolic(rel, domains, config)
     monkeypatch.undo()
@@ -1005,15 +1012,95 @@ def _fuzz_equations(tables):
     return equations
 
 
+def _all_equations(tables, mini_corpus):
+    """(relation, domains) of the mini-corpus and the fuzz equations."""
+    return [(rel, domains) for _, rel, domains in
+            _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
+
+
+def _verified(tables, rel, domains, **kw):
+    return verify_symbolic(rel, domains, default_config(tables, **kw)).verified
+
+
+def _renamed_expr(expr):
+    """``expr`` with every variable, a derivative's and a binder's too,
+    renamed ``v`` -> ``vr``."""
+    if isinstance(expr, Var):
+        return Var(expr.name + "r")
+    out = ir.map_children(expr, _renamed_expr)
+    if isinstance(out, (ir.Derivative, ir.BigOp)):
+        out = dataclasses.replace(out, var=out.var + "r")
+    return out
+
+
+def _renamed(rel, domains):
+    return (ir.Relation(rel.kind, _renamed_expr(rel.lhs), _renamed_expr(rel.rhs)),
+            tuple(dataclasses.replace(d, var=d.var + "r") for d in domains))
+
+
+# Rewritings of an equation that keep its truth: the verdict must not move.
+_METAMORPHIC = {
+    "swap": lambda rel, domains: (ir.Relation(rel.kind, rel.rhs, rel.lhs), domains),
+    "fresh_term": lambda rel, domains: (
+        ir.Relation(rel.kind, ir.add(rel.lhs, Var("w")), ir.add(rel.rhs, Var("w"))), domains),
+    "rename": _renamed,
+    "scale": lambda rel, domains: (
+        ir.Relation(rel.kind, ir.mul(ir.num(3), rel.lhs), ir.mul(ir.num(3), rel.rhs)),
+        domains),
+}
+
+
+@pytest.mark.parametrize("change", _METAMORPHIC)
+def test_verdicts_do_not_move_when_the_equation_is_rewritten(tables, mini_corpus, change):
+    # With a canonical normal form the verified/not-verified verdict is a
+    # property of the equation, not of how it is written.
+    moved = []
+    for rel, domains in _all_equations(tables, mini_corpus):
+        assert "w" not in ir.free_variables(rel.lhs) | ir.free_variables(rel.rhs)
+        if _verified(tables, rel, domains) != \
+                _verified(tables, *_METAMORPHIC[change](rel, domains)):
+            moved.append(rel)
+    assert not moved
+
+
+def test_difference_zero_exactly_when_quotient_one(tables, mini_corpus):
+    checked = 0
+    for rel, domains in _all_equations(tables, mini_corpus):
+        if ir.ZERO in (rel.lhs, rel.rhs):
+            continue
+        zero = verify_symbolic(rel, domains, default_config(
+            tables, mode=MODE_DIFFERENCE)).classification == CLASS_ZERO
+        one = verify_symbolic(rel, domains, default_config(
+            tables, mode=MODE_QUOTIENT)).classification == CLASS_ONE
+        assert zero == one, rel
+        checked += zero
+    assert checked > 300
+
+
+def test_the_quotient_candidate_verifies_nothing_more(tables, mini_corpus):
+    # The default mode has the difference candidate alone; adding the
+    # quotient form verifies exactly the same equations.
+    equations = _all_equations(tables, mini_corpus)
+    assert SimplifyConfig().mode == MODE_DIFFERENCE
+    default = [_verified(tables, rel, domains) for rel, domains in equations]
+    assert default == [_verified(tables, rel, domains, mode=MODE_BOTH)
+                       for rel, domains in equations]
+    assert 300 < sum(default) < len(equations)
+
+
+# The modes with a quotient candidate.  The difference candidate wins
+# first wherever both would, so only the quotient mode reaches ``one``.
+_QUOTIENT_MODES = (MODE_BOTH, MODE_QUOTIENT)
+
+
 def test_rational_forms_are_never_written(tables, mini_corpus, monkeypatch):
     # With every RatForm's polynomials read-only, any in-place write raises
     # TypeError; the outcomes, steps included, are those of plain dicts.
-    equations = [(rel, domains) for _, rel, domains in
-                 _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
+    equations = _all_equations(tables, mini_corpus)
 
     def outcomes():
-        return [_fields(verify_symbolic(rel, domains, default_config(tables)))
-                for rel, domains in equations]
+        return [_fields(verify_symbolic(rel, domains, default_config(tables, mode=mode)))
+                for mode in _QUOTIENT_MODES for rel, domains in equations]
 
     plain = outcomes()
 
@@ -1031,12 +1118,11 @@ def test_scaling_path_keeps_every_outcome(tables, mini_corpus, monkeypatch):
     # outcome, steps_used included, is the same.
     from test_normform import _copying_poly_mul
 
-    equations = [(rel, domains) for _, rel, domains in
-                 _corpus_equations(tables, mini_corpus)] + _fuzz_equations(tables)
+    equations = _all_equations(tables, mini_corpus)
 
     def outcomes():
-        return [verify_symbolic(rel, domains, default_config(tables))
-                for rel, domains in equations]
+        return [verify_symbolic(rel, domains, default_config(tables, mode=mode))
+                for mode in _QUOTIENT_MODES for rel, domains in equations]
 
     scaled = outcomes()
     monkeypatch.setattr(normform, "poly_mul", _copying_poly_mul)
